@@ -28,17 +28,15 @@ from .engine import (
     cusum_profile_l2_raw,
     detect,
     detect_l2_raw,
-    locate,
     p_value,
     residuals,
     simulate_limit_samples,
-    test_statistic,
 )
 from .cleaning import (
     CleaningReport,
     ClrMedianDistanceDetector,
-    DetectorConfig,
     NeverFlagDetector,
+    clean,
     clean_and_detect,
     detect_distributional_outliers,
     scalar_boxplot_filter,

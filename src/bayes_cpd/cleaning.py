@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace as dc_replace
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
 from .engine import DetectionResult, DistributionalSequence, detect
-from .errors import StructuralError
+from .errors import DegenerateInputError, StructuralError
 
 DEFAULT_WHISKER = 1.5
 
@@ -45,35 +45,11 @@ def scalar_boxplot_filter(samples, whisker: float = DEFAULT_WHISKER) -> np.ndarr
     return samples[boxplot_keep_mask(samples, whisker)]
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Named tuning knobs a distributional outlier detector may honor.
-
-    The default detector uses only ``whisker``; ``detection_region`` and
-    the MO/VO whiskers are carried for QF-FDO-style plug-ins so external
-    implementations can be configured through the same surface.
-    """
-
-    whisker: float = DEFAULT_WHISKER
-    detection_region: tuple[float, float] = (0.2, 0.8)
-    whisker_mo: float = 1.5
-    whisker_vo: float = 2.5
-
-    def as_dict(self) -> dict:
-        return {
-            "whisker": self.whisker,
-            "detection_region": list(self.detection_region),
-            "whisker_mo": self.whisker_mo,
-            "whisker_vo": self.whisker_vo,
-        }
-
-
-@runtime_checkable
 class OutlierDetector(Protocol):
     """A detector sees only the sequence and returns 1-based flagged indices."""
 
     name: str
-    config: DetectorConfig
+    whisker: float
 
     def flag(self, seq: DistributionalSequence) -> tuple[int, ...]: ...
 
@@ -88,8 +64,8 @@ class ClrMedianDistanceDetector:
 
     name = "clr-median-distance"
 
-    def __init__(self, config: DetectorConfig | None = None):
-        self.config = config or DetectorConfig()
+    def __init__(self, whisker: float = DEFAULT_WHISKER):
+        self.whisker = whisker
 
     def flag(self, seq: DistributionalSequence) -> tuple[int, ...]:
         mat = seq.clr_matrix()
@@ -97,7 +73,7 @@ class ClrMedianDistanceDetector:
         diff = mat - median_curve
         distances = np.sqrt((diff * diff) @ seq.grid.weights)
         q1, q3 = np.percentile(distances, [25, 75])
-        fence = q3 + self.config.whisker * (q3 - q1)
+        fence = q3 + self.whisker * (q3 - q1)
         return tuple(int(i) + 1 for i in np.nonzero(distances > fence)[0])
 
 
@@ -106,8 +82,8 @@ class NeverFlagDetector:
 
     name = "none"
 
-    def __init__(self, config: DetectorConfig | None = None):
-        self.config = config or DetectorConfig()
+    def __init__(self, whisker: float = DEFAULT_WHISKER):
+        self.whisker = whisker
 
     def flag(self, seq: DistributionalSequence) -> tuple[int, ...]:
         return ()
@@ -121,14 +97,14 @@ _DETECTOR_CLASSES = {
 DETECTOR_NAMES = tuple(sorted(_DETECTOR_CLASSES))
 
 
-def build_detector(name: str, config: DetectorConfig | None = None) -> OutlierDetector:
+def build_detector(name: str, whisker: float = DEFAULT_WHISKER) -> OutlierDetector:
     try:
         cls = _DETECTOR_CLASSES[name]
     except KeyError:
         raise StructuralError(
             f"unknown detector {name!r}; choose from {DETECTOR_NAMES}"
         ) from None
-    return cls(config)
+    return cls(whisker)
 
 
 @dataclass(frozen=True)
@@ -142,7 +118,6 @@ class CleaningReport:
 
     removed_indices: tuple[int, ...]
     kept_indices: tuple[int, ...]
-    detector_tags: tuple[str, ...]
     detector: str
     params: dict
 
@@ -163,38 +138,38 @@ def detect_distributional_outliers(
     return tuple(sorted(set(int(i) for i in flagged)))
 
 
-def clean_and_detect(
+def clean(
     seq: DistributionalSequence,
     detector: OutlierDetector | None = None,
-    secondary_detector: OutlierDetector | None = None,
-    **detect_kwargs,
-) -> tuple[CleaningReport, DetectionResult]:
-    """Remove flagged densities, detect on the remainder, restore indexing.
+) -> CleaningReport:
+    """Partition 1..n into the densities the detector flags and the rest.
 
-    The optional secondary detector is a complementary screen whose flags
-    are unioned with the primary's; it is never enabled implicitly.
+    Raises :class:`DegenerateInputError` when fewer than 4 densities
+    would remain, since nothing can be detected on the remainder.
     """
     detector = detector or ClrMedianDistanceDetector()
-    flagged = {(i, detector.name) for i in detect_distributional_outliers(seq, detector)}
-    if secondary_detector is not None:
-        primary_idx = {i for i, _ in flagged}
-        for i in detect_distributional_outliers(seq, secondary_detector):
-            if i not in primary_idx:
-                flagged.add((i, secondary_detector.name))
-    removed = sorted(i for i, _ in flagged)
-    tags = tuple(tag for _, tag in sorted(flagged))
-    kept = [i for i in range(1, seq.n + 1) if i not in set(removed)]
+    removed = detect_distributional_outliers(seq, detector)
+    flagged = set(removed)
+    kept = tuple(i for i in range(1, seq.n + 1) if i not in flagged)
     if len(kept) < 4:
-        raise StructuralError(
+        raise DegenerateInputError(
             f"cleaning removed {len(removed)} of {seq.n} densities; "
             "fewer than 4 remain"
         )
-    report = CleaningReport(
-        removed_indices=tuple(removed),
-        kept_indices=tuple(kept),
-        detector_tags=tags,
+    return CleaningReport(
+        removed_indices=removed,
+        kept_indices=kept,
         detector=detector.name,
-        params=detector.config.as_dict(),
+        params={"whisker": detector.whisker},
     )
-    result = detect(seq.subsequence(kept), **detect_kwargs)
+
+
+def clean_and_detect(
+    seq: DistributionalSequence,
+    detector: OutlierDetector | None = None,
+    **detect_kwargs,
+) -> tuple[CleaningReport, DetectionResult]:
+    """Remove flagged densities, detect on the remainder, restore indexing."""
+    report = clean(seq, detector)
+    result = detect(seq.subsequence(report.kept_indices), **detect_kwargs)
     return report, dc_replace(result, k_hat=report.map_position(result.k_hat))

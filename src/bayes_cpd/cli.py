@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as bio
-from .cleaning import (
-    DETECTOR_NAMES,
-    DetectorConfig,
-    build_detector,
-    clean_and_detect,
-)
+from .cleaning import DETECTOR_NAMES, build_detector, clean, clean_and_detect
 from .engine import (
     CENTERING_GLOBAL,
     CENTERING_SEGMENTED,
@@ -34,10 +29,9 @@ from .engine import (
 )
 from .errors import BayesCpdError, CsvFormatError, DegenerateInputError, StructuralError
 from .ingestion import IngestConfig, build_sequence
-from .seeds import resolve_threads
 from .simlab import GENERATORS, ExperimentConfig, _GENERATOR_FNS, contaminate, gen_outliers, run_experiment
 from .density import Grid
-from .seeds import derive_seed
+from .seeds import derive_seed, resolve_threads
 
 EXIT_REJECT = 0
 EXIT_NO_REJECT = 1
@@ -214,12 +208,12 @@ def _emit_json(obj: dict, path: str | None) -> None:
 
 
 def _read_sequence(path: str) -> DistributionalSequence:
-    grid, densities = bio.read_density_csv(path)
-    if len(densities) < 4:
+    grid, values = bio.read_density_csv(path)
+    if len(values) < 4:
         raise DegenerateInputError(
-            f"only {len(densities)} densities in {path}; need at least 4"
+            f"only {len(values)} densities in {path}; need at least 4"
         )
-    return DistributionalSequence(tuple(densities))
+    return DistributionalSequence._from_checked(grid, values)  # rows validated by io
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -235,7 +229,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if opts["clean"]:
         if opts["method"] != METHOD_BAYES:
             raise StructuralError("--clean is only available with the bayes-clr method")
-        detector = build_detector(opts["detector"], DetectorConfig(whisker=opts["whisker"]))
+        detector = build_detector(opts["detector"], opts["whisker"])
         cleaning_report, result = clean_and_detect(seq, detector, **detect_kwargs)
     elif opts["method"] == METHOD_L2:
         result = detect_l2_raw(seq, **detect_kwargs)
@@ -248,7 +242,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     increment_path = None
     if opts["increment_csv"] is not None and result.increment is not None:
         increment_path = opts["increment_csv"]
-        bio.write_density_csv(increment_path, seq.grid, [result.increment])
+        bio.write_density_csv(increment_path, seq.grid, result.increment.values[None, :])
     if cleaning_report is not None and opts["cleaning_report"] is not None:
         bio.dump_json(bio.cleaning_report_to_dict(cleaning_report), opts["cleaning_report"])
 
@@ -271,7 +265,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if opts["contaminate"] > 0:
         outliers = gen_outliers(opts["contaminate"], derive_seed(opts["seed"], 3), grid)
         seq, contaminated = contaminate(seq, outliers, derive_seed(opts["seed"], 2))
-    bio.write_density_csv(opts["out"], grid, seq.densities)
+    bio.write_density_csv(opts["out"], grid, seq.values)
     sidecar = opts["sidecar"] or (opts["out"] + ".meta.json")
     bio.dump_json(
         bio.simulate_sidecar_to_dict(opts["kstar"], contaminated, opts["seed"]),
@@ -306,7 +300,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         threads=resolve_threads(opts["threads"]),
     )
     seq, report = build_sequence(series, config)
-    bio.write_density_csv(opts["out"], seq.grid, seq.densities)
+    bio.write_density_csv(opts["out"], seq.grid, seq.values)
     _emit_json(bio.ingestion_report_to_dict(report), opts["report"])
     return 0
 
@@ -338,26 +332,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
-    from .cleaning import CleaningReport, detect_distributional_outliers
-
     opts = _resolve(args, _CLEAN_OPTS)
     if opts["out"] is None:
         raise StructuralError("clean needs --out")
     seq = _read_sequence(args.density_csv)
-    detector = build_detector(opts["detector"], DetectorConfig(whisker=opts["whisker"]))
-    removed = detect_distributional_outliers(seq, detector)
-    kept = tuple(i for i in range(1, seq.n + 1) if i not in set(removed))
-    if len(kept) < 4:
-        raise DegenerateInputError(
-            f"cleaning would leave {len(kept)} densities; need at least 4"
-        )
-    report = CleaningReport(
-        removed_indices=removed, kept_indices=kept,
-        detector_tags=tuple(detector.name for _ in removed),
-        detector=detector.name, params=detector.config.as_dict(),
-    )
+    report = clean(seq, build_detector(opts["detector"], opts["whisker"]))
     bio.write_density_csv(opts["out"], seq.grid,
-                          [seq.densities[i - 1] for i in kept])
+                          seq.subsequence(report.kept_indices).values)
     _emit_json(bio.cleaning_report_to_dict(report), opts["report"])
     return 0
 

@@ -76,33 +76,54 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     return float(grid.weights @ values)
 
 
+def check_density_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Validate an (n, m) matrix of density rows; return a read-only copy.
+
+    Rows must be finite (else :class:`NumericError`), non-negative (else
+    :class:`DomainError`) and of unit integral (else :class:`StructuralError`).
+    The error names the first bad row, 1-based, in its message and ``row``.
+    """
+    values = _readonly(values)
+    if values.ndim != 2 or values.shape[1] != grid.node_count:
+        raise StructuralError(
+            f"expected rows of {grid.node_count} values, got shape {values.shape}"
+        )
+    non_finite = ~np.isfinite(values).all(axis=1)
+    negative = (values < 0.0).any(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        totals = values @ grid.weights
+        drift = ~(np.abs(totals - 1.0) <= UNIT_INTEGRAL_TOL)
+    bad = non_finite | negative | drift
+    if bad.any():
+        i = int(np.argmax(bad))
+        if non_finite[i]:
+            error, problem = NumericError, "non-finite density value"
+        elif negative[i]:
+            error, problem = DomainError, "negative density value"
+        else:
+            error, problem = StructuralError, (
+                f"density integral {float(totals[i])!r} outside 1 +/- {UNIT_INTEGRAL_TOL}"
+            )
+        exc = error(f"density row {i + 1}: {problem}")
+        exc.row = i + 1
+        raise exc
+    return values
+
+
 class DensityFunction:
     """A density sampled on a grid: non-negative, unit trapezoid integral.
 
     Strict positivity is the normal state; zero-valued nodes are tolerated
     at construction so that :func:`zero_avoid` can repair freshly built
     raw densities.  Log-based operations reject non-positive values.
+    Validation is :func:`check_density_rows` on a one-row matrix.
     """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (grid.node_count,):
-            raise StructuralError(
-                f"expected {grid.node_count} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NumericError("non-finite density value")
-        if np.any(values < 0.0):
-            raise DomainError("negative density value")
-        total = float(grid.weights @ values)
-        if abs(total - 1.0) > UNIT_INTEGRAL_TOL:
-            raise StructuralError(
-                f"density integral {total!r} outside 1 +/- {UNIT_INTEGRAL_TOL}"
-            )
         self.grid = grid
-        self.values = _readonly(values)
+        self.values = check_density_rows(grid, np.asarray(values)[None])[0]
 
     def min_value(self) -> float:
         return float(self.values.min())
@@ -142,16 +163,7 @@ def _require_same_grid(f: DensityFunction, g: DensityFunction) -> Grid:
     return f.grid
 
 
-def _require_positive(f: DensityFunction, op: str) -> None:
-    if f.min_value() <= 0.0:
-        raise DomainError(
-            f"{op} needs strictly positive values; apply zero_avoid first"
-        )
-
-
 def _normalized_density(grid: Grid, values: np.ndarray) -> DensityFunction:
-    if not np.all(np.isfinite(values)):
-        raise NumericError("non-finite value in density construction")
     total = float(grid.weights @ values)
     if not np.isfinite(total) or total < UNDERFLOW_LIMIT:
         raise NumericError(f"normalizing integral underflow/overflow: {total!r}")
@@ -186,9 +198,7 @@ def b_smul(c: float, f: DensityFunction) -> DensityFunction:
 
 def clr(f: DensityFunction) -> ClrFunction:
     """Centered log-ratio transform: log f minus its integral mean over [0, 1]."""
-    _require_positive(f, "clr")
-    log_f = np.log(f.values)
-    return ClrFunction(f.grid, log_f - float(f.grid.weights @ log_f))
+    return ClrFunction(f.grid, clr_rows(f.grid, f.values[None, :])[0])
 
 
 def clr_inv(u: ClrFunction) -> DensityFunction:
@@ -200,9 +210,14 @@ def clr_inv(u: ClrFunction) -> DensityFunction:
     return _normalized_density(u.grid, e)
 
 
-def clr_matrix(densities) -> np.ndarray:
-    """Stack clr values of a sequence of densities into an (n, m) matrix."""
-    return np.vstack([clr(f).values for f in densities])
+def clr_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """clr of every row of an (n, m) density matrix, as a read-only matrix."""
+    if values.min() <= 0.0:
+        raise DomainError("clr needs strictly positive values; apply zero_avoid first")
+    log_values = np.log(values)
+    out = log_values - (log_values @ grid.weights)[:, None]
+    out.flags.writeable = False
+    return out
 
 
 def b_mean(densities) -> DensityFunction:
@@ -217,7 +232,7 @@ def b_mean(densities) -> DensityFunction:
     grid = densities[0].grid
     for f in densities[1:]:
         _require_same_grid(densities[0], f)
-    mean_clr = clr_matrix(densities).mean(axis=0)
+    mean_clr = np.vstack([clr(f).values for f in densities]).mean(axis=0)
     centered = mean_clr - float(grid.weights @ mean_clr)
     return clr_inv(ClrFunction(grid, centered))
 

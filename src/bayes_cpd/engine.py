@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import ClrFunction, DensityFunction, Grid, b_add, b_mean, b_smul, clr
+from .density import ClrFunction, DensityFunction, Grid, check_density_rows, clr_inv, clr_rows
 from .errors import DegenerateInputError, NumericError, StructuralError
 from .seeds import derive_seed, parallel_map
 
@@ -41,44 +41,77 @@ CENTERING_GLOBAL = "global"
 CENTERING_SEGMENTED = "segmented"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionalSequence:
-    """Time-ordered densities on one shared grid; index i runs 1..n."""
+    """Time-ordered densities on one shared grid, one per row of ``values``.
 
-    densities: tuple[DensityFunction, ...]
+    ``values`` is a read-only (n, m) float64 matrix validated row by row
+    in one vectorized pass; index i = 1..n is row i - 1.
+    """
+
+    grid: Grid
+    values: np.ndarray = field(repr=False)
+    _clr: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.densities) < 4:
-            raise StructuralError(
-                f"sequence needs at least 4 densities, got {len(self.densities)}"
-            )
-        grid = self.densities[0].grid
-        for f in self.densities[1:]:
-            if f.grid != grid:
-                raise StructuralError("densities do not share one grid")
+        object.__setattr__(self, "values", check_density_rows(self.grid, self.values))
+        self._require_four()
+
+    def _require_four(self) -> None:
+        if self.n < 4:
+            raise StructuralError(f"sequence needs at least 4 densities, got {self.n}")
+
+    @classmethod
+    def _from_checked(cls, grid: Grid, values: np.ndarray) -> "DistributionalSequence":
+        """Wrap a fresh matrix of rows already validated (by :func:`check_density_rows`
+        or as :class:`DensityFunction` values); no copy and no second check."""
+        seq = object.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(seq, "grid", grid)
+        object.__setattr__(seq, "values", values)
+        object.__setattr__(seq, "_clr", None)
+        seq._require_four()
+        return seq
+
+    @classmethod
+    def from_densities(cls, densities: Sequence[DensityFunction]) -> "DistributionalSequence":
+        """Stack per-density objects that share one grid into a sequence."""
+        densities = list(densities)
+        if not densities:
+            raise StructuralError("no densities to stack")
+        grid = densities[0].grid
+        if any(f.grid != grid for f in densities[1:]):
+            raise StructuralError("densities do not share one grid")
+        return cls._from_checked(grid, np.vstack([f.values for f in densities]))
 
     @property
     def n(self) -> int:
-        return len(self.densities)
+        return self.values.shape[0]
 
     @property
-    def grid(self) -> Grid:
-        return self.densities[0].grid
+    def densities(self) -> tuple[DensityFunction, ...]:
+        """The rows as :class:`DensityFunction` objects, built on each access."""
+        return tuple(DensityFunction(self.grid, row) for row in self.values)
 
     def values_matrix(self) -> np.ndarray:
-        return np.vstack([f.values for f in self.densities])
+        """The (n, m) density matrix, the same array as ``values``."""
+        return self.values
 
     def clr_matrix(self) -> np.ndarray:
-        return np.vstack([clr(f).values for f in self.densities])
+        """Read-only (n, m) clr matrix, computed on the first call."""
+        if self._clr is None:
+            object.__setattr__(self, "_clr", clr_rows(self.grid, self.values))
+        return self._clr
 
     def reversed(self) -> "DistributionalSequence":
-        return DistributionalSequence(tuple(reversed(self.densities)))
+        return self._from_checked(self.grid, self.values[::-1].copy())
 
     def subsequence(self, positions: Sequence[int]) -> "DistributionalSequence":
         """Sub-sequence at the given 1-based positions (order preserved)."""
-        return DistributionalSequence(
-            tuple(self.densities[p - 1] for p in positions)
-        )
+        rows = np.asarray(positions, dtype=np.intp) - 1
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+            raise StructuralError(f"positions must lie in 1..{self.n}")
+        return self._from_checked(self.grid, self.values[rows])
 
 
 @dataclass(frozen=True)
@@ -179,17 +212,7 @@ def cusum_profile(seq: DistributionalSequence) -> CusumProfile:
 
 def cusum_profile_l2_raw(seq: DistributionalSequence) -> CusumProfile:
     """Squared L2-norm CUSUM profile on raw density values (competitor)."""
-    return _profile_from_matrix(seq.values_matrix(), seq.grid.weights)
-
-
-def locate(seq: DistributionalSequence) -> int:
-    """Estimated change-point: smallest k maximizing the CUSUM norm profile."""
-    return cusum_profile(seq).argmax_k
-
-
-def test_statistic(seq: DistributionalSequence) -> float:
-    """Maximum squared CUSUM norm over all splits."""
-    return cusum_profile(seq).statistic
+    return _profile_from_matrix(seq.values, seq.grid.weights)
 
 
 def _residual_matrix(mat: np.ndarray, centering: str, k_hat: int | None) -> np.ndarray:
@@ -411,12 +434,12 @@ def _detect_core(
 
 
 def mean_increment(seq: DistributionalSequence, k_hat: int) -> DensityFunction:
-    """Bayes-space difference of post- and pre-break segment means."""
+    """Bayes-space difference of post- and pre-break segment means, via clr rows."""
     if not 1 <= k_hat < seq.n:
         raise DegenerateInputError(f"increment needs 1 <= k_hat < n, got {k_hat}")
-    pre = b_mean(seq.densities[:k_hat])
-    post = b_mean(seq.densities[k_hat:])
-    return b_add(post, b_smul(-1.0, pre))
+    mat = seq.clr_matrix()
+    diff = mat[k_hat:].mean(axis=0) - mat[:k_hat].mean(axis=0)
+    return clr_inv(ClrFunction(seq.grid, diff - float(seq.grid.weights @ diff)))
 
 
 def detect(
@@ -461,7 +484,7 @@ def detect_l2_raw(
 ) -> DetectionResult:
     """Competing detector: the same pipeline on raw density values in L2."""
     return _detect_core(
-        seq.values_matrix(),
+        seq.values,
         seq.grid.weights,
         alpha=alpha,
         mc_samples=mc_samples,

@@ -249,4 +249,4 @@ def build_sequence(
         support=support,
         bandwidth_per_segment=[float(b) for b in bandwidths],
     )
-    return DistributionalSequence(tuple(densities)), report
+    return DistributionalSequence.from_densities(densities), report

@@ -10,13 +10,12 @@ import csv
 import datetime as _dt
 import json
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .cleaning import CleaningReport
-from .density import DensityFunction, Grid
-from .engine import CusumProfile, DetectionResult, DistributionalSequence
+from .density import Grid, check_density_rows
+from .engine import CusumProfile, DetectionResult
 from .errors import BayesCpdError, CsvFormatError, StructuralError
 from .ingestion import IngestionReport, RawSeries
 from .simlab import ExperimentReport
@@ -36,12 +35,13 @@ def _json_number(x: float):
 # density CSV: row 1 = grid nodes, following rows = densities in time order
 # ---------------------------------------------------------------------------
 
-def write_density_csv(path, grid: Grid, densities: Iterable[DensityFunction]) -> None:
+def write_density_csv(path, grid: Grid, values: np.ndarray) -> None:
+    """Write the grid row, then one row per row of the (n, m) ``values``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_fmt(x) for x in grid.nodes)
-        for density in densities:
-            writer.writerow(_fmt(v) for v in density.values)
+        for row in values:
+            writer.writerow(_fmt(v) for v in row)
 
 
 def _parse_float_row(row: list[str], line: int) -> np.ndarray:
@@ -51,8 +51,20 @@ def _parse_float_row(row: list[str], line: int) -> np.ndarray:
         raise CsvFormatError(line, f"non-numeric cell ({exc})") from None
 
 
-def read_density_csv(path) -> tuple[Grid, list[DensityFunction]]:
-    """Parse a density CSV; structural problems raise with a line number."""
+def _checked_rows(grid: Grid, rows: list[np.ndarray]) -> np.ndarray:
+    """Validated density matrix; a bad row raises with its file line."""
+    try:
+        return check_density_rows(grid, np.vstack(rows))
+    except BayesCpdError as exc:
+        raise CsvFormatError(exc.row + 1, f"invalid {exc}") from None
+
+
+def read_density_csv(path) -> tuple[Grid, np.ndarray]:
+    """Parse a density CSV into its grid and read-only (n, m) value matrix.
+
+    Every problem raises :class:`CsvFormatError` with the line number of
+    the first bad line, whether it fails to parse or fails validation.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     rows = [row for row in rows if row]
@@ -64,23 +76,20 @@ def read_density_csv(path) -> tuple[Grid, list[DensityFunction]]:
     grid = Grid(nodes.size)
     if not np.allclose(nodes, grid.nodes, rtol=0.0, atol=_GRID_REL_TOL):
         raise CsvFormatError(1, "grid row is not a uniform partition of [0, 1]")
-    densities = []
-    for offset, row in enumerate(rows[1:], start=2):
-        values = _parse_float_row(row, offset)
-        if values.size != grid.node_count:
-            raise CsvFormatError(
-                offset, f"expected {grid.node_count} values, got {values.size}"
-            )
+    parsed = []
+    for line, row in enumerate(rows[1:], start=2):
         try:
-            densities.append(DensityFunction(grid, values))
-        except BayesCpdError as exc:
-            raise CsvFormatError(offset, f"invalid density row: {exc}") from None
-    return grid, densities
-
-
-def read_density_sequence(path) -> DistributionalSequence:
-    _, densities = read_density_csv(path)
-    return DistributionalSequence(tuple(densities))
+            values = _parse_float_row(row, line)
+            if values.size != grid.node_count:
+                raise CsvFormatError(
+                    line, f"expected {grid.node_count} values, got {values.size}"
+                )
+        except CsvFormatError:
+            if parsed:
+                _checked_rows(grid, parsed)  # an earlier invalid row comes first
+            raise
+        parsed.append(values)
+    return grid, _checked_rows(grid, parsed)
 
 
 # ---------------------------------------------------------------------------

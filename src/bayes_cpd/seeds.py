@@ -45,7 +45,9 @@ def resolve_threads(threads: int | None) -> int:
             raise ValueError(
                 f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
             ) from None
-    if threads == 0:
+    if threads == 0:  # the CPUs this process may run on; cpu_count ignores affinity
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if threads < 0:
         raise ValueError("threads must be >= 0")
@@ -53,7 +55,11 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
-    """Map ``fn`` over ``items``, preserving order regardless of scheduling."""
+    """Map ``fn`` over ``items``, preserving order regardless of scheduling.
+
+    ``threads`` is resolved by :func:`resolve_threads`, so 0 means all CPUs.
+    """
+    threads = resolve_threads(threads)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

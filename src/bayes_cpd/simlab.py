@@ -38,18 +38,13 @@ from .engine import (
     detect,
     detect_l2_raw,
 )
-from .errors import StructuralError
+from .errors import BayesCpdError, StructuralError
 from .seeds import derive_seed, parallel_map
 
 GENERATORS = ("sim1", "model1", "model2", "model3")
 
 #: Fixed first moment shared by every density drawn from model2.
 MODEL2_MEAN = 0.45
-
-
-def _beta(grid: Grid, rng: np.random.Generator, lo: float, hi: float,
-          lo2: float, hi2: float) -> DensityFunction:
-    return beta_density(grid, rng.uniform(lo, hi), rng.uniform(lo2, hi2))
 
 
 def _mixture(grid: Grid, a1: float, b1: float, a2: float, b2: float) -> DensityFunction:
@@ -78,11 +73,9 @@ def gen_sim1(n: int, k_star: int, seed: int, grid: Grid | None = None) -> Distri
     raw = np.vstack([beta_pdf_values(grid, a[i], b[i]) for i in range(n)])
     raw[k_star:] += 0.8
     shifted = raw - raw.min()
-    densities = []
-    for row in shifted:
-        f = DensityFunction(grid, row / integrate(row, grid))
-        densities.append(zero_avoid(f))
-    return DistributionalSequence(tuple(densities))
+    return DistributionalSequence.from_densities(
+        zero_avoid(DensityFunction(grid, row / integrate(row, grid))) for row in shifted
+    )
 
 
 def gen_model1(n: int, k_star: int, seed: int, grid: Grid | None = None) -> DistributionalSequence:
@@ -90,14 +83,13 @@ def gen_model1(n: int, k_star: int, seed: int, grid: Grid | None = None) -> Dist
     _validate_break(n, k_star)
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
-    densities = []
-    for _ in range(k_star):
-        densities.append(zero_avoid(_beta(grid, rng, 10, 15, 10, 15)))
+    rows = [zero_avoid(beta_density(grid, rng.uniform(10, 15), rng.uniform(10, 15)))
+            for _ in range(k_star)]
     for _ in range(n - k_star):
         a1, b1 = rng.uniform(25, 40), rng.uniform(15, 20)
         a2, b2 = rng.uniform(2, 4), rng.uniform(4, 6)
-        densities.append(zero_avoid(_mixture(grid, a1, b1, a2, b2)))
-    return DistributionalSequence(tuple(densities))
+        rows.append(zero_avoid(_mixture(grid, a1, b1, a2, b2)))
+    return DistributionalSequence.from_densities(rows)
 
 
 def gen_model2(n: int, k_star: int, seed: int, grid: Grid | None = None) -> DistributionalSequence:
@@ -111,11 +103,11 @@ def gen_model2(n: int, k_star: int, seed: int, grid: Grid | None = None) -> Dist
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
     ratio = 1.0 / MODEL2_MEAN - 1.0
-    densities = []
+    rows = []
     for i in range(n):
         a = rng.uniform(15, 25) if i < k_star else rng.uniform(5, 10)
-        densities.append(zero_avoid(beta_density(grid, a, ratio * a)))
-    return DistributionalSequence(tuple(densities))
+        rows.append(zero_avoid(beta_density(grid, a, ratio * a)))
+    return DistributionalSequence.from_densities(rows)
 
 
 def gen_model3(n: int, k_star: int, seed: int, grid: Grid | None = None) -> DistributionalSequence:
@@ -125,12 +117,12 @@ def gen_model3(n: int, k_star: int, seed: int, grid: Grid | None = None) -> Dist
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.005, 0.015)
-    densities = []
+    rows = []
     for i in range(n):
         a = rng.uniform(15, 25)
         beta = rng.uniform(0.85, 1.0) if i < k_star else rng.uniform(1.0 + q, 1.15 + q)
-        densities.append(zero_avoid(beta_density(grid, a, beta * a)))
-    return DistributionalSequence(tuple(densities))
+        rows.append(zero_avoid(beta_density(grid, a, beta * a)))
+    return DistributionalSequence.from_densities(rows)
 
 
 def gen_outliers(n_outliers: int, seed: int, grid: Grid | None = None) -> list[DensityFunction]:
@@ -173,10 +165,13 @@ def contaminate(
         return seq, ()
     rng = np.random.default_rng(seed)
     positions = np.sort(rng.choice(seq.n, size=len(outliers), replace=False))
-    densities = list(seq.densities)
-    for j, pos in enumerate(positions):
-        densities[pos] = outliers[j]
-    return DistributionalSequence(tuple(densities)), tuple(int(p) + 1 for p in positions)
+    rows = np.vstack([f.values for f in outliers])
+    if rows.shape[1] != seq.grid.node_count:
+        raise StructuralError("outliers and sequence live on different grids")
+    values = seq.values.copy()
+    values[positions] = rows
+    return (DistributionalSequence._from_checked(seq.grid, values),  # rows already valid
+            tuple(int(p) + 1 for p in positions))
 
 
 def scalar_cusum_statistic(values: np.ndarray) -> float:
@@ -342,7 +337,7 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
             record(METHOD_BAYES, detect(seq, **detect_kwargs))
         if config.compare_l2:
             record(METHOD_L2, detect_l2_raw(seq, **detect_kwargs))
-    except Exception as exc:  # per-replicate failures are recorded, not fatal
+    except BayesCpdError as exc:  # input-level failures are recorded, not fatal
         records.append(ReplicateRecord(
             replicate=r, method="error", k_hat=0, abs_error=0,
             p_value=float("nan"), rejected=False,
@@ -351,7 +346,7 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
     return records
 
 
-def run_experiment(config: ExperimentConfig, threads: int | None = None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured replicates and aggregate their outcomes.
 
     Replicate r depends only on (config.seed, r); replicates may execute
@@ -360,11 +355,10 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None) -> Expe
     contaminated) sequence.
     """
     grid = Grid(config.grid_nodes)
-    n_threads = config.threads if threads is None else threads
     per_rep = parallel_map(
         lambda r: _run_replicate(config, r, grid),
         range(config.replicates),
-        n_threads,
+        config.threads,
     )
     records = tuple(rec for batch in per_rep for rec in batch)
     return ExperimentReport(

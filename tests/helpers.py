@@ -30,16 +30,16 @@ def random_density(grid: Grid, rng: np.random.Generator) -> DensityFunction:
 
 
 def random_sequence(grid: Grid, rng: np.random.Generator, n: int) -> DistributionalSequence:
-    return DistributionalSequence(tuple(random_density(grid, rng) for _ in range(n)))
+    return DistributionalSequence.from_densities(random_density(grid, rng) for _ in range(n))
 
 
 def constant_sequence(grid: Grid, n: int, a: float = 7.0, b: float = 9.0) -> DistributionalSequence:
     f = zero_avoid(beta_density(grid, a, b))
-    return DistributionalSequence((f,) * n)
+    return DistributionalSequence.from_densities((f,) * n)
 
 
 def two_segment_sequence(grid: Grid, n_pre: int, n_post: int,
                          pre=(12.0, 12.0), post=(6.0, 14.0)) -> DistributionalSequence:
     f = zero_avoid(beta_density(grid, *pre))
     g = zero_avoid(beta_density(grid, *post))
-    return DistributionalSequence((f,) * n_pre + (g,) * n_post)
+    return DistributionalSequence.from_densities((f,) * n_pre + (g,) * n_post)

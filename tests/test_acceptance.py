@@ -162,7 +162,7 @@ def test_criterion_6_bayes_chain_equivalence(grid):
     for _ in range(100):
         n = int(rng.integers(4, 13))
         densities = [random_density(grid, rng) for _ in range(n)]
-        profile = cusum_profile(DistributionalSequence(tuple(densities)))
+        profile = cusum_profile(DistributionalSequence.from_densities(densities))
         total = densities[0]
         for f in densities[1:]:
             total = b_add(total, f)
@@ -208,7 +208,7 @@ def test_criterion_8_null_calibration(grid):
             zero_avoid(beta_density(grid, rng.uniform(10, 15), rng.uniform(10, 15)))
             for _ in range(100)
         )
-        seq = DistributionalSequence(densities)
+        seq = DistributionalSequence.from_densities(densities)
         result = detect(seq, alpha=ALPHA, mc_samples=MC, theta=THETA,
                         seed=derive_seed(derive_seed(777, r), 1), threads=THREADS)
         rejections += result.reject_null

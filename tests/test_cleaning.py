@@ -10,6 +10,7 @@ from bayes_cpd import (
     DistributionalSequence,
     NeverFlagDetector,
     beta_density,
+    clean,
     clean_and_detect,
     detect,
     detect_distributional_outliers,
@@ -19,11 +20,10 @@ from bayes_cpd import (
 from bayes_cpd.cleaning import (
     CleaningReport,
     ClrMedianDistanceDetector,
-    DetectorConfig,
     boxplot_keep_mask,
     build_detector,
 )
-from bayes_cpd.errors import StructuralError
+from bayes_cpd.errors import DegenerateInputError, StructuralError
 from bayes_cpd.seeds import derive_seed
 from bayes_cpd.simlab import contaminate, gen_model3, gen_outliers
 
@@ -87,7 +87,7 @@ class TestDistributionalOutlierDetector:
             dens = tuple(zero_avoid(beta_density(grid, rng.uniform(10, 15),
                                                  rng.uniform(10, 15)))
                          for _ in range(100))
-            seq = DistributionalSequence(dens)
+            seq = DistributionalSequence.from_densities(dens)
             flagged = detect_distributional_outliers(seq)
             empty += (len(flagged) == 0)
             assert len(flagged) <= 3
@@ -113,31 +113,24 @@ class TestDistributionalOutlierDetector:
         densities = [random_beta(grid, rng, 10, 15) for _ in range(99)]
         bump = 0.5 * beta_density(grid, 8, 24).values + 0.5 * beta_density(grid, 24, 8).values
         densities.insert(37 - 1, zero_avoid(DensityFunction(grid, bump)))
-        flagged = detect_distributional_outliers(DistributionalSequence(tuple(densities)))
+        flagged = detect_distributional_outliers(DistributionalSequence.from_densities(densities))
         assert 37 in flagged
 
     def test_detector_does_not_mutate_sequence(self, grid):
         rng = np.random.default_rng(7)
-        seq = DistributionalSequence(tuple(random_beta(grid, rng) for _ in range(6)))
-        before = [f.values.copy() for f in seq.densities]
+        seq = DistributionalSequence.from_densities(random_beta(grid, rng) for _ in range(6))
+        before = seq.values.copy()
         ClrMedianDistanceDetector().flag(seq)
-        for f, old in zip(seq.densities, before):
-            np.testing.assert_array_equal(f.values, old)
+        np.testing.assert_array_equal(seq.values, before)
 
     def test_unknown_detector_name(self):
         with pytest.raises(StructuralError):
             build_detector("mystery-box")
 
-    def test_config_carries_plugin_keys(self):
-        cfg = DetectorConfig()
-        d = cfg.as_dict()
-        assert d["detection_region"] == [0.2, 0.8]
-        assert d["whisker_mo"] == 1.5 and d["whisker_vo"] == 2.5
-
 
 class _FixedDetector:
     name = "fixed"
-    config = DetectorConfig()
+    whisker = 1.5
 
     def __init__(self, indices):
         self.indices = tuple(indices)
@@ -169,18 +162,18 @@ class TestCleanAndDetect:
         assert result.k_hat == report.kept_indices[sub_result.k_hat - 1]
         assert result.k_hat in report.kept_indices
 
+    def test_clean_partitions_and_reports_whisker(self, grid):
+        seq = two_segment_sequence(grid, 4, 4)
+        report = clean(seq, _FixedDetector((5, 2)))
+        assert report.removed_indices == (2, 5)
+        assert report.kept_indices == (1, 3, 4, 6, 7, 8)
+        assert report.detector == "fixed"
+        assert report.params == {"whisker": 1.5}
+
     def test_over_aggressive_cleaning_rejected(self, grid):
         seq = two_segment_sequence(grid, 3, 3)
-        with pytest.raises(StructuralError):
+        with pytest.raises(DegenerateInputError):
             clean_and_detect(seq, _FixedDetector((1, 2, 3)), mc_samples=50)
-
-    def test_secondary_detector_union(self, grid):
-        seq = two_segment_sequence(grid, 10, 10)
-        report, _ = clean_and_detect(seq, _FixedDetector((3,)),
-                                     secondary_detector=_FixedDetector((3, 7)),
-                                     mc_samples=100, seed=1)
-        assert report.removed_indices == (3, 7)
-        assert report.detector_tags == ("fixed", "fixed")
 
     @given(st.sets(st.integers(min_value=1, max_value=30), max_size=10))
     @settings(max_examples=40, deadline=None)
@@ -191,7 +184,7 @@ class TestCleanAndDetect:
             return
         report = CleaningReport(
             removed_indices=tuple(sorted(removed)), kept_indices=kept,
-            detector_tags=tuple("x" for _ in removed), detector="x", params={},
+            detector="x", params={},
         )
         assert set(report.removed_indices) | set(report.kept_indices) == set(range(1, n + 1))
         assert set(report.removed_indices) & set(report.kept_indices) == set()

@@ -47,7 +47,7 @@ class TestDetectCommand:
         grid = Grid(64)
         f = zero_avoid(beta_density(grid, 5, 5))
         path = tmp_path / "const.csv"
-        write_density_csv(path, grid, [f] * 6)
+        write_density_csv(path, grid, np.vstack([f.values] * 6))
         code = main(["detect", str(path), "--mc-samples", "50"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -85,7 +85,7 @@ class TestDetectCommand:
         grid = Grid(64)
         f = zero_avoid(beta_density(grid, 5, 5))
         path = tmp_path / "tiny.csv"
-        write_density_csv(path, grid, [f] * 3)
+        write_density_csv(path, grid, np.vstack([f.values] * 3))
         assert main(["detect", str(path)]) == 3
 
     def test_profile_and_increment_outputs(self, sim_csv, tmp_path):
@@ -254,7 +254,23 @@ class TestExperimentCommand:
         assert "bogus" in capsys.readouterr().err
 
 
+def _write_one_outlier_of_four(tmp_path):
+    grid = Grid(64)
+    usual = zero_avoid(beta_density(grid, 7, 9)).values
+    odd = zero_avoid(beta_density(grid, 2, 20)).values
+    path = tmp_path / "four.csv"
+    write_density_csv(path, grid, np.vstack([usual, usual, odd, usual]))
+    return path
+
+
 class TestCleanCommand:
+    def test_too_few_left_after_cleaning_exit_three_on_both_paths(self, tmp_path):
+        path = _write_one_outlier_of_four(tmp_path)
+        assert main(["detect", str(path), "--clean", "--mc-samples", "50",
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert main(["clean", str(path), "--out", str(tmp_path / "c.csv"),
+                     "--report", str(tmp_path / "rep.json")]) == 3
+
     def test_clean_writes_report_and_csv(self, tmp_path):
         out = tmp_path / "sim.csv"
         main(["simulate", "--generator", "model3", "--n", "40", "--kstar", "20",

@@ -15,7 +15,6 @@ from bayes_cpd import (
     cusum_profile,
     detect,
     detect_l2_raw,
-    locate,
     p_value,
     residuals,
     simulate_limit_samples,
@@ -23,11 +22,10 @@ from bayes_cpd import (
 )
 from bayes_cpd.density import ClrFunction
 from bayes_cpd.engine import _detect_core, mean_increment
-from bayes_cpd.engine import test_statistic as max_cusum_statistic
-from bayes_cpd.errors import DegenerateInputError, NumericError, StructuralError
+from bayes_cpd.errors import DegenerateInputError, DomainError, NumericError, StructuralError
 from bayes_cpd.simlab import gen_model1, gen_sim1
 
-from helpers import constant_sequence, random_sequence, two_segment_sequence
+from helpers import constant_sequence, random_beta, random_sequence, two_segment_sequence
 
 
 def bayes_cusum_oracle(seq, k):
@@ -114,23 +112,24 @@ class TestCusumProfile:
 
 class TestLocate:
     def test_constant_sequence(self, grid):
-        assert locate(constant_sequence(grid, 6)) == 1
+        assert cusum_profile(constant_sequence(grid, 6)).argmax_k == 1
 
     def test_length_four_exhaustive(self, grid):
         seq = two_segment_sequence(grid, 2, 2)
         brute = brute_force_profile(seq)
         assert int(np.argmax(brute)) + 1 == 2
-        assert locate(seq) == 2
+        assert cusum_profile(seq).argmax_k == 2
 
     def test_strong_change_localizes_exactly(self, grid):
-        hits = sum(locate(gen_model1(100, 50, 1000 + r, grid)) == 50 for r in range(20))
+        hits = sum(cusum_profile(gen_model1(100, 50, 1000 + r, grid)).argmax_k == 50
+                   for r in range(20))
         assert hits >= 19  # >= 95% of replicates
 
     def test_tie_break_takes_smallest(self, grid):
         # palindromic sequence: profile symmetric, so ties resolve left
         f = zero_avoid(beta_density(grid, 12, 12))
         g = zero_avoid(beta_density(grid, 6, 14))
-        seq = DistributionalSequence((f, g, g, f))
+        seq = DistributionalSequence.from_densities((f, g, g, f))
         prof = cusum_profile(seq)
         peak = prof.norms_sq.max()
         winners = np.nonzero(prof.norms_sq == peak)[0] + 1
@@ -138,26 +137,26 @@ class TestLocate:
 
     def test_duplicating_elements_preserves_relative_argmax(self, grid):
         seq = two_segment_sequence(grid, 3, 5)
-        doubled = DistributionalSequence(
-            tuple(f for f in seq.densities for _ in range(2)))
-        assert locate(seq) == 3
-        assert locate(doubled) == 6  # same relative position k/n
+        doubled = DistributionalSequence(grid, np.repeat(seq.values, 2, axis=0))
+        assert cusum_profile(seq).argmax_k == 3
+        assert cusum_profile(doubled).argmax_k == 6  # same relative position k/n
 
 
 class TestTestStatistic:
     def test_constant_sequence_zero(self, grid):
-        assert max_cusum_statistic(constant_sequence(grid, 8)) == pytest.approx(0.0, abs=1e-12)
+        assert cusum_profile(constant_sequence(grid, 8)).statistic == pytest.approx(0.0, abs=1e-12)
 
     def test_is_profile_max(self, grid):
         rng = np.random.default_rng(24)
         seq = random_sequence(grid, rng, 10)
-        assert max_cusum_statistic(seq) == cusum_profile(seq).norms_sq.max()
+        profile = cusum_profile(seq)
+        assert profile.statistic == profile.norms_sq.max()
 
     def test_grows_with_shift_magnitude(self, grid):
         stats = []
         for shift in (0.5, 1.0, 2.0, 4.0):
             seq = two_segment_sequence(grid, 10, 10, pre=(12, 12), post=(12 + shift, 12))
-            stats.append(max_cusum_statistic(seq))
+            stats.append(cusum_profile(seq).statistic)
         assert all(a < b for a, b in zip(stats, stats[1:]))
 
 
@@ -389,10 +388,51 @@ class TestSequenceType:
     def test_minimum_length_enforced(self, grid):
         f = zero_avoid(beta_density(grid, 5, 5))
         with pytest.raises(StructuralError):
-            DistributionalSequence((f, f, f))
+            DistributionalSequence.from_densities((f, f, f))
 
     def test_mixed_grids_rejected(self, grid, grid1025):
         f = zero_avoid(beta_density(grid, 5, 5))
         g = zero_avoid(beta_density(grid1025, 5, 5))
         with pytest.raises(StructuralError):
-            DistributionalSequence((f, f, g, f))
+            DistributionalSequence.from_densities((f, f, g, f))
+
+    def test_first_bad_row_named_with_its_error_class(self, grid):
+        good = zero_avoid(beta_density(grid, 5, 5)).values
+        for bad_value, error in ((np.nan, NumericError), (-0.5, DomainError)):
+            values = np.vstack([good] * 6)
+            values[4, 10] = bad_value
+            values[5] *= 2.0  # a later row with a bad integral is not the first
+            with pytest.raises(error, match="density row 5") as info:
+                DistributionalSequence(grid, values)
+            assert info.value.row == 5
+        with pytest.raises(StructuralError, match="density row 2"):
+            DistributionalSequence(grid, np.vstack([good, 2.0 * good, good, good]))
+
+    def test_values_and_clr_are_read_only_and_clr_is_cached(self, grid):
+        rng = np.random.default_rng(40)
+        seq = random_sequence(grid, rng, 6)
+        assert not seq.values.flags.writeable
+        mat = seq.clr_matrix()
+        assert mat is seq.clr_matrix() and not mat.flags.writeable
+        per_row = np.vstack([clr(f).values for f in seq.densities])
+        np.testing.assert_allclose(mat, per_row, rtol=0, atol=1e-14)
+
+    def test_subsequence_and_reversed_index_rows(self, grid):
+        rng = np.random.default_rng(41)
+        seq = random_sequence(grid, rng, 7)
+        sub = seq.subsequence((2, 5, 6, 7))
+        np.testing.assert_array_equal(sub.values, seq.values[[1, 4, 5, 6]])
+        rev = seq.reversed()
+        np.testing.assert_array_equal(rev.values, seq.values[::-1])
+        assert not sub.values.flags.writeable and not rev.values.flags.writeable
+        for bad in ((0, 1, 2, 3), (1, 2, 3, 8), (1, 2, 3)):
+            with pytest.raises(StructuralError):
+                seq.subsequence(bad)
+
+    def test_from_densities_round_trip(self, grid):
+        rng = np.random.default_rng(42)
+        densities = [random_beta(grid, rng) for _ in range(5)]
+        seq = DistributionalSequence.from_densities(densities)
+        assert seq.n == 5
+        for f, g in zip(densities, seq.densities):
+            np.testing.assert_array_equal(f.values, g.values)

@@ -34,13 +34,13 @@ def test_error_records_serialize_without_nan(tmp_path):
 
 def test_density_csv_round_trip_is_exact(tmp_path):
     grid = Grid(64)
-    densities = [zero_avoid(beta_density(grid, a, 7.0)) for a in (3.0, 5.0, 9.0, 11.0)]
+    values = np.vstack([zero_avoid(beta_density(grid, a, 7.0)).values
+                        for a in (3.0, 5.0, 9.0, 11.0)])
     path = tmp_path / "d.csv"
-    write_density_csv(path, grid, densities)
+    write_density_csv(path, grid, values)
     grid2, back = read_density_csv(path)
     assert grid2 == grid
-    for f, g in zip(densities, back):
-        np.testing.assert_array_equal(f.values, g.values)
+    np.testing.assert_array_equal(back, values)
 
 
 def test_non_uniform_grid_rejected(tmp_path):
@@ -60,3 +60,14 @@ def test_bad_density_row_carries_line_number(tmp_path):
     path.write_text(header + "\n" + ",".join("2.0" for _ in grid.nodes) + "\n")
     with pytest.raises(CsvFormatError, match="line 2"):
         read_density_csv(path)
+
+
+def test_first_bad_line_wins_over_a_later_parse_error(tmp_path):
+    grid = Grid(32)
+    good = ",".join(repr(float(v)) for v in zero_avoid(beta_density(grid, 4, 4)).values)
+    header = ",".join(repr(float(x)) for x in grid.nodes)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, good, good, "-" + good, "x,y", good]) + "\n")
+    with pytest.raises(CsvFormatError, match="line 4") as info:
+        read_density_csv(path)
+    assert info.value.line == 4

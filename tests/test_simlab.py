@@ -1,5 +1,7 @@
 """Generators, contamination, and the repeated-experiment harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bayes_cpd import (
     gen_sim1,
     run_experiment,
 )
+from bayes_cpd import simlab
 from bayes_cpd.errors import StructuralError
 from bayes_cpd.simlab import MODEL2_MEAN, scalar_cusum_statistic, summarize_records
 
@@ -178,8 +181,8 @@ class TestRunExperiment:
 
     def test_deterministic_and_thread_invariant(self):
         base = ExperimentConfig(replicates=4, **self.CFG)
-        a = run_experiment(base, threads=1)
-        b = run_experiment(base, threads=3)
+        a = run_experiment(dataclasses.replace(base, threads=1))
+        b = run_experiment(dataclasses.replace(base, threads=3))
         assert a.records == b.records
         assert a.summaries == b.summaries
 
@@ -202,6 +205,14 @@ class TestRunExperiment:
         rec = report.records[0]
         assert rec.contaminated_indices != ()
         assert set(rec.cleaned_indices) & set(rec.contaminated_indices)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("detector bug")
+
+        monkeypatch.setattr(simlab, "detect", broken)
+        with pytest.raises(TypeError, match="detector bug"):
+            run_experiment(ExperimentConfig(replicates=1, **self.CFG))
 
     def test_invalid_generator_rejected(self):
         with pytest.raises(StructuralError):
