@@ -3,7 +3,8 @@
 
 Synthesizes 100 days of scalar samples whose generating distribution
 switches families at a chosen day, writes the raw CSV, then drives the
-CLI pipeline: ingest -> clean -> detect.
+CLI pipeline: ingest -> clean -> detect.  Exits non-zero when ``ingest``
+fails or ``detect`` exits with anything but a decision (0 or 1).
 """
 
 import argparse
@@ -33,7 +34,7 @@ def synthesize(seed: int, n_days: int, switch_day: int, per_day: int) -> RawSeri
     return RawSeries(np.concatenate(ts), np.concatenate(vals))
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--days", type=int, default=100)
     parser.add_argument("--switch-day", type=int, default=50)
@@ -50,8 +51,11 @@ def main() -> None:
     print(f"wrote {raw} (switch after day {args.switch_day})")
 
     run = lambda *cmd: subprocess.run([sys.executable, "-m", "bayes_cpd.cli", *cmd])
-    run("ingest", str(raw), "--timestamp-format", "epoch",
-        "--out", str(out / "densities.csv"), "--report", str(out / "ingest.json"))
+    ingest = run("ingest", str(raw), "--timestamp-format", "epoch",
+                 "--out", str(out / "densities.csv"), "--report", str(out / "ingest.json"))
+    if ingest.returncode != 0:
+        print(f"ingest exit {ingest.returncode}: failed", file=sys.stderr)
+        return ingest.returncode
     result = run("detect", str(out / "densities.csv"), "--clean",
                  "--seed", str(args.seed),
                  "--out", str(out / "detection.json"),
@@ -60,7 +64,8 @@ def main() -> None:
     verdict = {0: "change-point found", 1: "no change-point", 3: "degenerate input"}
     print(f"detect exit {result.returncode}: "
           f"{verdict.get(result.returncode, 'error')}; outputs in {out}/")
+    return 0 if result.returncode in (0, 1) else result.returncode
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

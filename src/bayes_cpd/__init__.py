@@ -25,9 +25,7 @@ from .engine import (
     clr_cusum,
     covariance_eigen,
     cusum_profile,
-    cusum_profile_l2_raw,
     detect,
-    detect_l2_raw,
     p_value,
     residuals,
     simulate_limit_samples,

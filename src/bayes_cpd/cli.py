@@ -20,12 +20,10 @@ from .engine import (
     CENTERING_GLOBAL,
     CENTERING_SEGMENTED,
     METHOD_BAYES,
-    METHOD_L2,
+    METHODS,
     DistributionalSequence,
     cusum_profile,
-    cusum_profile_l2_raw,
     detect,
-    detect_l2_raw,
 )
 from .errors import BayesCpdError, CsvFormatError, DegenerateInputError, StructuralError
 from .ingestion import IngestConfig, build_sequence
@@ -62,7 +60,7 @@ _DETECT_OPTS: dict[str, Opt] = {
     "bridge_nodes": Opt(int, 1001, "grid nodes per simulated Brownian bridge"),
     "centering": Opt(str, CENTERING_GLOBAL, "residual centering mode",
                      (CENTERING_GLOBAL, CENTERING_SEGMENTED)),
-    "method": Opt(str, METHOD_BAYES, "detection method", (METHOD_BAYES, METHOD_L2)),
+    "method": Opt(str, METHOD_BAYES, "detection method", METHODS),
     "clean": Opt(bool, False, "remove distributional outliers before detection"),
     "detector": Opt(str, "clr-median-distance", "distributional outlier detector",
                     DETECTOR_NAMES),
@@ -209,10 +207,6 @@ def _emit_json(obj: dict, path: str | None) -> None:
 
 def _read_sequence(path: str) -> DistributionalSequence:
     grid, values = bio.read_density_csv(path)
-    if len(values) < 4:
-        raise DegenerateInputError(
-            f"only {len(values)} densities in {path}; need at least 4"
-        )
     return DistributionalSequence._from_checked(grid, values)  # rows validated by io
 
 
@@ -222,7 +216,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     threads = resolve_threads(opts["threads"])
     detect_kwargs = dict(
         alpha=opts["alpha"], mc_samples=opts["mc_samples"], theta=opts["theta"],
-        seed=opts["seed"], centering=opts["centering"],
+        seed=opts["seed"], method=opts["method"], centering=opts["centering"],
         bridge_nodes=opts["bridge_nodes"], threads=threads,
     )
     cleaning_report = None
@@ -231,14 +225,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             raise StructuralError("--clean is only available with the bayes-clr method")
         detector = build_detector(opts["detector"], opts["whisker"])
         cleaning_report, result = clean_and_detect(seq, detector, **detect_kwargs)
-    elif opts["method"] == METHOD_L2:
-        result = detect_l2_raw(seq, **detect_kwargs)
     else:
         result = detect(seq, **detect_kwargs)
 
     if opts["profile_csv"] is not None:
-        profile_fn = cusum_profile_l2_raw if opts["method"] == METHOD_L2 else cusum_profile
-        bio.write_profile_csv(opts["profile_csv"], profile_fn(seq))
+        bio.write_profile_csv(opts["profile_csv"], cusum_profile(seq, opts["method"]))
     increment_path = None
     if opts["increment_csv"] is not None and result.increment is not None:
         increment_path = opts["increment_csv"]
@@ -323,6 +314,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         threads=threads,
     )
     report = run_experiment(config)
+    if "error" in report.summaries:
+        print(f"{report.summaries['error'].count} of {config.replicates} replicates errored",
+              file=sys.stderr)
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     bio.dump_json(bio.experiment_report_to_dict(report), out_dir / "report.json")

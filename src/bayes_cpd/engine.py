@@ -7,13 +7,13 @@ argmax, estimate the covariance operator of the transformed residuals,
 simulate the eigenvalue-weighted Brownian-bridge limit of the test
 statistic by Monte Carlo, and convert the observed maximum into a p-value.
 
-Both methods share one core on an (n, m) matrix of transformed values, so
-they differ in nothing but the transform.
+Both methods run through one :func:`detect` on an (n, m) matrix of
+transformed values, so they differ in nothing but the transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ _MC_CHUNK = 256
 
 METHOD_BAYES = "bayes-clr"
 METHOD_L2 = "l2-raw"
+METHODS = (METHOD_BAYES, METHOD_L2)
 
 CENTERING_GLOBAL = "global"
 CENTERING_SEGMENTED = "segmented"
@@ -59,7 +60,7 @@ class DistributionalSequence:
 
     def _require_four(self) -> None:
         if self.n < 4:
-            raise StructuralError(f"sequence needs at least 4 densities, got {self.n}")
+            raise DegenerateInputError(f"sequence needs at least 4 densities, got {self.n}")
 
     @classmethod
     def _from_checked(cls, grid: Grid, values: np.ndarray) -> "DistributionalSequence":
@@ -196,23 +197,24 @@ def _profile_from_matrix(mat: np.ndarray, weights: np.ndarray) -> CusumProfile:
 
 def clr_cusum(seq: DistributionalSequence, k: int) -> ClrFunction:
     """clr-domain CUSUM at split k: (prefix sum - (k/n) total sum) / sqrt(n)."""
-    n = seq.n
-    if not 1 <= k <= n:
-        raise StructuralError(f"split index k={k} outside 1..{n}")
-    mat = seq.clr_matrix()
-    total = mat.sum(axis=0)
-    values = (mat[:k].sum(axis=0) - (k / n) * total) / np.sqrt(n)
-    return ClrFunction(seq.grid, values)
+    if not 1 <= k <= seq.n:
+        raise StructuralError(f"split index k={k} outside 1..{seq.n}")
+    return ClrFunction(seq.grid, _cusum_matrix(seq.clr_matrix())[k - 1])
 
 
-def cusum_profile(seq: DistributionalSequence) -> CusumProfile:
-    """Squared Bayes-norm of the CUSUM for every split k = 1..n."""
-    return _profile_from_matrix(seq.clr_matrix(), seq.grid.weights)
+def _method_matrix(seq: DistributionalSequence, method: str) -> np.ndarray:
+    """The embedding a method tests: clr rows or raw density values."""
+    if method == METHOD_BAYES:
+        return seq.clr_matrix()
+    if method == METHOD_L2:
+        return seq.values
+    raise StructuralError(f"unknown method {method!r}; choose from {METHODS}")
 
 
-def cusum_profile_l2_raw(seq: DistributionalSequence) -> CusumProfile:
-    """Squared L2-norm CUSUM profile on raw density values (competitor)."""
-    return _profile_from_matrix(seq.values, seq.grid.weights)
+def cusum_profile(seq: DistributionalSequence, method: str = METHOD_BAYES) -> CusumProfile:
+    """Squared CUSUM norm for every split k = 1..n: the Bayes norm of the clr
+    rows for ``bayes-clr``, the L2 norm of the raw values for ``l2-raw``."""
+    return _profile_from_matrix(_method_matrix(seq, method), seq.grid.weights)
 
 
 def _residual_matrix(mat: np.ndarray, centering: str, k_hat: int | None) -> np.ndarray:
@@ -308,25 +310,22 @@ def _simulate_chunk(
 
 
 def simulate_limit_samples(
-    eigen: CovarianceEigen | Sequence[float],
+    eigen: Sequence[float],
     mc_samples: int,
     bridge_nodes: int = DEFAULT_BRIDGE_NODES,
     seed: int = 0,
     threads: int = 1,
 ) -> np.ndarray:
-    """Monte Carlo samples of sup_x sum_l lambda_l B_l(x)^2.
+    """Monte Carlo samples of sup_x sum_l lambda_l B_l(x)^2 for the eigenvalues
+    lambda_l in ``eigen``.
 
     Each Brownian bridge is a Gaussian random walk with sqrt(dt)-scaled
     increments, pinned by B(t) = W(t) - t W(1); the sup is taken over the
-    ``bridge_nodes`` grid.  Accepts a :class:`CovarianceEigen` (uses its
-    retained eigenvalues) or an explicit eigenvalue sequence.  Samples are
-    generated in fixed-size chunks with seeds derived from ``(seed,
-    chunk)``, so output is independent of thread count.
+    ``bridge_nodes`` grid.  Samples are generated in fixed-size chunks with
+    seeds derived from ``(seed, chunk)``, so output is independent of
+    thread count.
     """
-    if isinstance(eigen, CovarianceEigen):
-        lambdas = np.asarray(eigen.retained(), dtype=np.float64)
-    else:
-        lambdas = np.asarray(eigen, dtype=np.float64)
+    lambdas = np.asarray(eigen, dtype=np.float64)
     if lambdas.size == 0:
         raise DegenerateInputError("no eigenvalues retained; nothing to simulate")
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
@@ -359,80 +358,6 @@ def p_value(statistic: float, samples: Sequence[float]) -> float:
     return float(np.count_nonzero(samples >= statistic)) / samples.size
 
 
-def _degenerate_result(
-    profile: CusumProfile,
-    *,
-    alpha: float,
-    mc_samples: int,
-    seed: int,
-    centering: str,
-    method: str,
-) -> DetectionResult:
-    return DetectionResult(
-        k_hat=profile.argmax_k,
-        statistic=profile.statistic,
-        p_value=1.0,
-        alpha=alpha,
-        reject_null=False,
-        L=0,
-        eigenvalues=(),
-        mc_samples=mc_samples,
-        seed=seed,
-        centering=centering,
-        degenerate=True,
-        method=method,
-    )
-
-
-def _detect_core(
-    mat: np.ndarray,
-    weights: np.ndarray,
-    *,
-    alpha: float,
-    mc_samples: int,
-    theta: float,
-    seed: int,
-    centering: str,
-    bridge_nodes: int,
-    threads: int,
-    method: str,
-) -> DetectionResult:
-    if not 0.0 < alpha < 1.0:
-        raise StructuralError(f"alpha must be in (0, 1), got {alpha}")
-    profile = _profile_from_matrix(mat, weights)
-    if profile.degenerate:
-        return _degenerate_result(
-            profile, alpha=alpha, mc_samples=mc_samples, seed=seed,
-            centering=centering, method=method,
-        )
-    k_hat = profile.argmax_k
-    res = _residual_matrix(mat, centering, k_hat)
-    eigen = _covariance_eigen_from_matrix(res, weights, theta)
-    if eigen.degenerate or eigen.truncation == 0:
-        return _degenerate_result(
-            profile, alpha=alpha, mc_samples=mc_samples, seed=seed,
-            centering=centering, method=method,
-        )
-    samples = simulate_limit_samples(
-        eigen, mc_samples, bridge_nodes=bridge_nodes, seed=seed, threads=threads
-    )
-    p = p_value(profile.statistic, samples)
-    return DetectionResult(
-        k_hat=k_hat,
-        statistic=profile.statistic,
-        p_value=p,
-        alpha=alpha,
-        reject_null=p < alpha,
-        L=eigen.truncation,
-        eigenvalues=tuple(float(v) for v in eigen.retained()),
-        mc_samples=mc_samples,
-        seed=seed,
-        centering=centering,
-        degenerate=False,
-        method=method,
-    )
-
-
 def mean_increment(seq: DistributionalSequence, k_hat: int) -> DensityFunction:
     """Bayes-space difference of post- and pre-break segment means, via clr rows."""
     if not 1 <= k_hat < seq.n:
@@ -449,49 +374,53 @@ def detect(
     theta: float = DEFAULT_THETA,
     seed: int = 0,
     *,
+    method: str = METHOD_BAYES,
     centering: str = CENTERING_GLOBAL,
     bridge_nodes: int = DEFAULT_BRIDGE_NODES,
     threads: int = 1,
 ) -> DetectionResult:
-    """Full Bayes-space change-point detection on a density sequence."""
-    result = _detect_core(
-        seq.clr_matrix(),
-        seq.grid.weights,
+    """Change-point detection on a density sequence.
+
+    ``method`` picks the embedding the test runs on: the clr rows (the
+    Bayes-space detector) or the raw density values in L2 (the competitor).
+    A zero profile or a covariance with nothing retained gives a degenerate
+    non-rejection with p = 1.  A Bayes-space rejection at an interior split
+    carries the estimated mean increment.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise StructuralError(f"alpha must be in (0, 1), got {alpha}")
+    mat = _method_matrix(seq, method)
+    weights = seq.grid.weights
+    profile = _profile_from_matrix(mat, weights)
+    k_hat = profile.argmax_k
+    eigenvalues: tuple[float, ...] = ()
+    p = 1.0
+    if not profile.degenerate:
+        eigen = _covariance_eigen_from_matrix(
+            _residual_matrix(mat, centering, k_hat), weights, theta
+        )
+        eigenvalues = tuple(float(v) for v in eigen.retained())
+        if eigenvalues:
+            samples = simulate_limit_samples(
+                eigenvalues, mc_samples, bridge_nodes=bridge_nodes, seed=seed, threads=threads
+            )
+            p = p_value(profile.statistic, samples)
+    reject = p < alpha
+    increment = None
+    if reject and method == METHOD_BAYES and k_hat < seq.n:
+        increment = mean_increment(seq, k_hat)
+    return DetectionResult(
+        k_hat=k_hat,
+        statistic=profile.statistic,
+        p_value=p,
         alpha=alpha,
+        reject_null=reject,
+        L=len(eigenvalues),
+        eigenvalues=eigenvalues,
         mc_samples=mc_samples,
-        theta=theta,
         seed=seed,
         centering=centering,
-        bridge_nodes=bridge_nodes,
-        threads=threads,
-        method=METHOD_BAYES,
-    )
-    if result.reject_null and 1 <= result.k_hat < seq.n:
-        result = replace(result, increment=mean_increment(seq, result.k_hat))
-    return result
-
-
-def detect_l2_raw(
-    seq: DistributionalSequence,
-    alpha: float = DEFAULT_ALPHA,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    theta: float = DEFAULT_THETA,
-    seed: int = 0,
-    *,
-    centering: str = CENTERING_GLOBAL,
-    bridge_nodes: int = DEFAULT_BRIDGE_NODES,
-    threads: int = 1,
-) -> DetectionResult:
-    """Competing detector: the same pipeline on raw density values in L2."""
-    return _detect_core(
-        seq.values,
-        seq.grid.weights,
-        alpha=alpha,
-        mc_samples=mc_samples,
-        theta=theta,
-        seed=seed,
-        centering=centering,
-        bridge_nodes=bridge_nodes,
-        threads=threads,
-        method=METHOD_L2,
+        degenerate=not eigenvalues,
+        method=method,
+        increment=increment,
     )

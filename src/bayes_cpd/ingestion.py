@@ -228,7 +228,7 @@ def build_sequence(
     seg = segment(RawSeries(filtered.timestamps, unit), config.window_seconds,
                   config.min_count)
     if len(seg.segments) < 4:
-        raise StructuralError(
+        raise DegenerateInputError(
             f"only {len(seg.segments)} usable segments; need at least 4"
         )
 

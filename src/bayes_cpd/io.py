@@ -7,6 +7,7 @@ so identical results serialize to identical bytes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as _dt
 import json
 from pathlib import Path
@@ -54,13 +55,14 @@ def _parse_float_row(row: list[str], line: int) -> np.ndarray:
 def _checked_rows(grid: Grid, rows: list[np.ndarray]) -> np.ndarray:
     """Validated density matrix; a bad row raises with its file line."""
     try:
-        return check_density_rows(grid, np.vstack(rows))
+        return check_density_rows(grid, np.reshape(rows, (-1, grid.node_count)))
     except BayesCpdError as exc:
         raise CsvFormatError(exc.row + 1, f"invalid {exc}") from None
 
 
 def read_density_csv(path) -> tuple[Grid, np.ndarray]:
-    """Parse a density CSV into its grid and read-only (n, m) value matrix.
+    """Parse a density CSV into its grid and read-only (n, m) value matrix;
+    a file holding only its grid row gives n = 0.
 
     Every problem raises :class:`CsvFormatError` with the line number of
     the first bad line, whether it fails to parse or fails validation.
@@ -68,8 +70,8 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     rows = [row for row in rows if row]
-    if len(rows) < 2:
-        raise CsvFormatError(1, "need a grid row plus at least one density row")
+    if not rows:
+        raise CsvFormatError(1, "need a grid row")
     nodes = _parse_float_row(rows[0], 1)
     if nodes.size < 16:
         raise CsvFormatError(1, f"grid needs >= 16 nodes, got {nodes.size}")
@@ -235,25 +237,10 @@ def ingestion_report_to_dict(report: IngestionReport) -> dict:
 
 
 def experiment_report_to_dict(report: ExperimentReport) -> dict:
-    cfg = report.config
+    config = dataclasses.asdict(report.config)
+    del config["threads"]  # how a run was scheduled is not part of its result
     return {
-        "config": {
-            "generator": cfg.generator,
-            "n": cfg.n,
-            "k_star": cfg.k_star,
-            "replicates": cfg.replicates,
-            "contamination_count": cfg.contamination_count,
-            "clean": cfg.clean,
-            "detector": cfg.detector,
-            "alpha": cfg.alpha,
-            "mc_samples": cfg.mc_samples,
-            "theta": cfg.theta,
-            "seed": cfg.seed,
-            "grid_nodes": cfg.grid_nodes,
-            "bridge_nodes": cfg.bridge_nodes,
-            "centering": cfg.centering,
-            "compare_l2": cfg.compare_l2,
-        },
+        "config": config,
         "summaries": {
             method: {
                 "count": s.count,

@@ -31,12 +31,10 @@ from .engine import (
     DEFAULT_BRIDGE_NODES,
     DEFAULT_MC_SAMPLES,
     DEFAULT_THETA,
-    METHOD_BAYES,
     METHOD_L2,
     DetectionResult,
     DistributionalSequence,
     detect,
-    detect_l2_raw,
 )
 from .errors import BayesCpdError, StructuralError
 from .seeds import derive_seed, parallel_map
@@ -271,11 +269,13 @@ class ExperimentReport:
 
 
 def summarize_records(records) -> dict[str, MethodSummary]:
+    """Per-method statistics; the ``"error"`` summary counts errored replicates."""
     out: dict[str, MethodSummary] = {}
     for method in sorted({r.method for r in records}):
-        ok = [r for r in records if r.method == method and r.error is None]
+        rows = [r for r in records if r.method == method]
+        ok = [r for r in rows if r.error is None]
         if not ok:
-            out[method] = MethodSummary(method, 0, float("nan"), float("nan"),
+            out[method] = MethodSummary(method, len(rows), float("nan"), float("nan"),
                                         float("nan"), float("nan"))
             continue
         errs = np.array([r.abs_error for r in ok], dtype=np.float64)
@@ -315,11 +315,10 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
 
     records = []
 
-    def record(method: str, result: DetectionResult,
-               cleaned: tuple[int, ...] = ()) -> None:
+    def record(result: DetectionResult, cleaned: tuple[int, ...] = ()) -> None:
         records.append(ReplicateRecord(
             replicate=r,
-            method=method,
+            method=result.method,
             k_hat=result.k_hat,
             abs_error=abs(result.k_hat - config.k_star),
             p_value=result.p_value,
@@ -332,11 +331,11 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
         if config.clean:
             detector = build_detector(config.detector)
             report, result = clean_and_detect(seq, detector, **detect_kwargs)
-            record(METHOD_BAYES, result, cleaned=report.removed_indices)
+            record(result, cleaned=report.removed_indices)
         else:
-            record(METHOD_BAYES, detect(seq, **detect_kwargs))
+            record(detect(seq, **detect_kwargs))
         if config.compare_l2:
-            record(METHOD_L2, detect_l2_raw(seq, **detect_kwargs))
+            record(detect(seq, method=METHOD_L2, **detect_kwargs))
     except BayesCpdError as exc:  # input-level failures are recorded, not fatal
         records.append(ReplicateRecord(
             replicate=r, method="error", k_hat=0, abs_error=0,

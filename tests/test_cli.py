@@ -7,7 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+from bayes_cpd import simlab
 from bayes_cpd.cli import main
+from bayes_cpd.errors import DegenerateInputError
 from bayes_cpd.io import write_density_csv, write_raw_series_csv
 from bayes_cpd import Grid, RawSeries, beta_density, zero_avoid
 
@@ -81,12 +83,14 @@ class TestDetectCommand:
         assert main(["detect", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_too_few_rows_exit_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows", [0, 2, 3])
+    def test_too_few_rows_exit_three(self, tmp_path, capsys, rows):
         grid = Grid(64)
         f = zero_avoid(beta_density(grid, 5, 5))
         path = tmp_path / "tiny.csv"
-        write_density_csv(path, grid, np.vstack([f.values] * 3))
+        write_density_csv(path, grid, np.repeat(f.values[None, :], rows, axis=0))
         assert main(["detect", str(path)]) == 3
+        assert f"got {rows}" in capsys.readouterr().err
 
     def test_profile_and_increment_outputs(self, sim_csv, tmp_path):
         res, prof, inc = (tmp_path / n for n in ("r.json", "p.csv", "i.csv"))
@@ -204,6 +208,15 @@ class TestIngestCommand:
         assert code == 0
         assert abs(json.loads(res.read_text())["k_hat"] - 6) <= 1
 
+    @pytest.mark.parametrize("usable, days, per_day", [(0, 6, 20), (3, 3, 80)],
+                             ids=["0-usable", "3-usable"])
+    def test_fewer_than_four_usable_windows_exit_three(self, tmp_path, capsys,
+                                                       usable, days, per_day):
+        raw = _write_series(tmp_path, days=days, per_day=per_day)
+        assert main(["ingest", str(raw), "--timestamp-format", "epoch",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert f"only {usable} usable segments" in capsys.readouterr().err
+
     def test_bad_header_exit_two(self, tmp_path, capsys):
         path = tmp_path / "nohdr.csv"
         path.write_text("time,val\n1,2\n")
@@ -245,6 +258,20 @@ class TestExperimentCommand:
         assert "bayes-clr" in table and "l2-raw" in table
         box = (out_dir / "boxplot.csv").read_text().strip().splitlines()
         assert len(box) == 3  # header + one row per method
+
+    def test_errored_replicates_counted_and_reported(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateInputError("nothing to detect")
+
+        monkeypatch.setattr(simlab, "detect", degenerate)
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--generator", "model2", "--replicates", "3",
+                     "--n", "30", "--k-star", "15", "--grid-nodes", "128",
+                     "--out-dir", str(out_dir)]) == 0
+        assert "3 of 3 replicates errored" in capsys.readouterr().err
+        payload = json.loads((out_dir / "report.json").read_text())
+        validate(payload, "experiment_report")
+        assert payload["summaries"]["error"]["count"] == 3
 
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

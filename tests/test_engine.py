@@ -14,14 +14,13 @@ from bayes_cpd import (
     covariance_eigen,
     cusum_profile,
     detect,
-    detect_l2_raw,
     p_value,
     residuals,
     simulate_limit_samples,
     zero_avoid,
 )
 from bayes_cpd.density import ClrFunction
-from bayes_cpd.engine import _detect_core, mean_increment
+from bayes_cpd.engine import mean_increment
 from bayes_cpd.errors import DegenerateInputError, DomainError, NumericError, StructuralError
 from bayes_cpd.simlab import gen_model1, gen_sim1
 
@@ -344,30 +343,24 @@ class TestDetect:
 
 
 class TestPipelineFactoring:
-    def test_bayes_detect_is_core_on_clr_matrix(self, grid):
+    @pytest.mark.parametrize("method", ["bayes-clr", "l2-raw"])
+    def test_detect_reports_profile_of_method(self, grid, method):
         rng = np.random.default_rng(35)
         seq = random_sequence(grid, rng, 10)
-        kwargs = dict(alpha=0.05, mc_samples=200, theta=0.95, seed=8,
-                      centering="global", bridge_nodes=201, threads=1)
-        full = detect(seq, 0.05, 200, 0.95, 8, bridge_nodes=201)
-        core = _detect_core(seq.clr_matrix(), grid.weights, method="bayes-clr", **kwargs)
-        assert (full.k_hat, full.statistic, full.p_value) == \
-               (core.k_hat, core.statistic, core.p_value)
-        assert full.eigenvalues == core.eigenvalues
+        result = detect(seq, 0.05, 200, 0.95, 8, method=method, bridge_nodes=201)
+        profile = cusum_profile(seq, method)
+        assert (result.k_hat, result.statistic) == (profile.argmax_k, profile.statistic)
+        assert result.method == method
 
-    def test_l2_detect_is_core_on_raw_matrix(self, grid):
-        rng = np.random.default_rng(36)
-        seq = random_sequence(grid, rng, 10)
-        kwargs = dict(alpha=0.05, mc_samples=200, theta=0.95, seed=8,
-                      centering="global", bridge_nodes=201, threads=1)
-        full = detect_l2_raw(seq, 0.05, 200, 0.95, 8, bridge_nodes=201)
-        core = _detect_core(seq.values_matrix(), grid.weights, method="l2-raw", **kwargs)
-        assert (full.k_hat, full.statistic, full.p_value) == \
-               (core.k_hat, core.statistic, core.p_value)
-        assert full.method == "l2-raw"
+    def test_unknown_method_rejected(self, grid):
+        seq = random_sequence(grid, np.random.default_rng(37), 6)
+        with pytest.raises(StructuralError, match="unknown method"):
+            detect(seq, mc_samples=50, method="l1-raw")
+        with pytest.raises(StructuralError, match="unknown method"):
+            cusum_profile(seq, "l1-raw")
 
     def test_l2_constant_sequence_never_rejects(self, grid):
-        result = detect_l2_raw(constant_sequence(grid, 8), mc_samples=50, seed=0)
+        result = detect(constant_sequence(grid, 8), mc_samples=50, seed=0, method="l2-raw")
         assert not result.reject_null and result.degenerate
 
 
@@ -387,7 +380,7 @@ class TestMeanIncrement:
 class TestSequenceType:
     def test_minimum_length_enforced(self, grid):
         f = zero_avoid(beta_density(grid, 5, 5))
-        with pytest.raises(StructuralError):
+        with pytest.raises(DegenerateInputError):
             DistributionalSequence.from_densities((f, f, f))
 
     def test_mixed_grids_rejected(self, grid, grid1025):
@@ -425,9 +418,11 @@ class TestSequenceType:
         rev = seq.reversed()
         np.testing.assert_array_equal(rev.values, seq.values[::-1])
         assert not sub.values.flags.writeable and not rev.values.flags.writeable
-        for bad in ((0, 1, 2, 3), (1, 2, 3, 8), (1, 2, 3)):
+        for bad in ((0, 1, 2, 3), (1, 2, 3, 8)):
             with pytest.raises(StructuralError):
                 seq.subsequence(bad)
+        with pytest.raises(DegenerateInputError):
+            seq.subsequence((1, 2, 3))
 
     def test_from_densities_round_trip(self, grid):
         rng = np.random.default_rng(42)

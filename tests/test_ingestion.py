@@ -194,7 +194,7 @@ class TestBuildSequence:
 
     def test_too_few_segments_rejected(self):
         series = synth_series(4, n_days=3, switch_day=3)
-        with pytest.raises(StructuralError):
+        with pytest.raises(DegenerateInputError):
             build_sequence(series, IngestConfig())
 
     def test_external_support_covers_everything(self):
