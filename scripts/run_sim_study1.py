@@ -11,12 +11,7 @@ import argparse
 from pathlib import Path
 
 from bayes_cpd import ExperimentConfig, run_experiment
-from bayes_cpd.io import (
-    dump_json,
-    experiment_report_to_dict,
-    write_boxplot_csv,
-    write_replicates_csv,
-)
+from bayes_cpd.io import write_experiment_outputs
 
 
 def main() -> None:
@@ -37,10 +32,7 @@ def main() -> None:
     report = run_experiment(config)
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_json(experiment_report_to_dict(report), out / "report.json")
-    write_replicates_csv(out / "replicates.csv", report)
-    write_boxplot_csv(out / "boxplot.csv", report)
+    write_experiment_outputs(out, report)
 
     for method, s in sorted(report.summaries.items()):
         print(f"{method:10s} median |err| = {s.median_abs_error:5.1f}   "

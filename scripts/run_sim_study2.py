@@ -10,12 +10,7 @@ import argparse
 from pathlib import Path
 
 from bayes_cpd import ExperimentConfig, run_experiment
-from bayes_cpd.io import (
-    dump_json,
-    experiment_report_to_dict,
-    write_boxplot_csv,
-    write_replicates_csv,
-)
+from bayes_cpd.io import write_experiment_outputs
 
 ARMS = (
     ("clean", dict(contamination_count=0, clean=False)),
@@ -44,11 +39,7 @@ def main() -> None:
             s = report.summaries["bayes-clr"]
             print(f"{model:8s} {arm_name:22s} {s.rejection_rate:9.3f} "
                   f"{s.median_abs_error:13.1f}")
-            out = out_root / model / arm_name.replace("+", "_")
-            out.mkdir(parents=True, exist_ok=True)
-            dump_json(experiment_report_to_dict(report), out / "report.json")
-            write_replicates_csv(out / "replicates.csv", report)
-            write_boxplot_csv(out / "boxplot.csv", report)
+            write_experiment_outputs(out_root / model / arm_name.replace("+", "_"), report)
     print(f"wrote per-arm reports under {out_root}/")
 
 

@@ -1,8 +1,8 @@
 """Command-line surface: detect, simulate, ingest, experiment, clean.
 
-Option precedence is fixed: built-in defaults, then a ``--config`` file of
-flat ``key = value`` lines, then explicit command-line flags.  Exit codes
-encode the statistical decision for ``detect``: 0 = change-point found
+Option precedence is fixed: the library's defaults, then a ``--config``
+file of flat ``key = value`` lines, then explicit command-line flags.  Exit
+codes encode the statistical decision for ``detect``: 0 = change-point found
 (reject), 1 = no change-point (fail to reject), 2 = usage or file-format
 error, 3 = degenerate input.
 """
@@ -10,25 +10,36 @@ error, 3 = degenerate input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as bio
-from .cleaning import DETECTOR_NAMES, build_detector, clean, clean_and_detect
+from .cleaning import (
+    DEFAULT_WHISKER,
+    DETECTOR_NAMES,
+    ClrMedianDistanceDetector,
+    build_detector,
+    clean,
+    clean_and_detect,
+)
+from .density import DEFAULT_NODE_COUNT, Grid
 from .engine import (
+    CENTERINGS,
     CENTERING_GLOBAL,
-    CENTERING_SEGMENTED,
+    DEFAULT_ALPHA,
+    DEFAULT_BRIDGE_NODES,
+    DEFAULT_MC_SAMPLES,
+    DEFAULT_THETA,
     METHOD_BAYES,
     METHODS,
     DistributionalSequence,
     cusum_profile,
     detect,
 )
-from .errors import BayesCpdError, CsvFormatError, DegenerateInputError, StructuralError
+from .errors import BayesCpdError, DegenerateInputError, StructuralError
 from .ingestion import IngestConfig, build_sequence
 from .simlab import GENERATORS, ExperimentConfig, _GENERATOR_FNS, contaminate, gen_outliers, run_experiment
-from .density import Grid
 from .seeds import derive_seed, resolve_threads
 
 EXIT_REJECT = 0
@@ -36,110 +47,38 @@ EXIT_NO_REJECT = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
+_THREADS_HELP = "worker threads, 0 = all cores (default: BAYES_CPD_THREADS or 1)"
 
-@dataclass(frozen=True)
-class Opt:
-    kind: type
-    default: object
-    help: str
-    choices: tuple[str, ...] | None = None
+_TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
 
 
-def _opt_help(opt: Opt) -> str:
-    if "(default" in opt.help:
-        return opt.help
-    default = "none" if opt.default is None else opt.default
-    return f"{opt.help} (default: {default})"
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Append ``(default: X)`` unless the help text already names its default."""
+
+    def _get_help_string(self, action):
+        if "(default" in action.help:
+            return action.help
+        return super()._get_help_string(action)
 
 
-_DETECT_OPTS: dict[str, Opt] = {
-    "alpha": Opt(float, 0.05, "significance level"),
-    "mc_samples": Opt(int, 2000, "Monte Carlo samples of the limiting distribution"),
-    "theta": Opt(float, 0.95, "cumulative eigenvalue share kept in the truncation"),
-    "seed": Opt(int, 0, "RNG seed"),
-    "bridge_nodes": Opt(int, 1001, "grid nodes per simulated Brownian bridge"),
-    "centering": Opt(str, CENTERING_GLOBAL, "residual centering mode",
-                     (CENTERING_GLOBAL, CENTERING_SEGMENTED)),
-    "method": Opt(str, METHOD_BAYES, "detection method", METHODS),
-    "clean": Opt(bool, False, "remove distributional outliers before detection"),
-    "detector": Opt(str, "clr-median-distance", "distributional outlier detector",
-                    DETECTOR_NAMES),
-    "whisker": Opt(float, 1.5, "boxplot whisker for the outlier detector"),
-    "threads": Opt(int, None, "worker threads, 0 = all cores (default: BAYES_CPD_THREADS or 1)"),
-    "out": Opt(str, None, "write the result JSON here instead of stdout"),
-    "profile_csv": Opt(str, None,
-                   "also write the CUSUM profile CSV of the input sequence here"),
-    "increment_csv": Opt(str, None,
-                         "write the estimated mean increment density CSV here"),
-    "cleaning_report": Opt(str, None, "write the cleaning report JSON here"),
-}
-
-_SIMULATE_OPTS: dict[str, Opt] = {
-    "generator": Opt(str, None, "data-generating model", GENERATORS),
-    "n": Opt(int, 100, "sequence length"),
-    "kstar": Opt(int, 50, "true change-point"),
-    "seed": Opt(int, 0, "RNG seed"),
-    "grid_nodes": Opt(int, 512, "density grid nodes"),
-    "contaminate": Opt(int, 0, "number of outlying densities to inject"),
-    "out": Opt(str, None, "output density CSV path"),
-    "sidecar": Opt(str, None, "ground-truth sidecar JSON path (default: OUT.meta.json)"),
-}
-
-_INGEST_OPTS: dict[str, Opt] = {
-    "window_seconds": Opt(float, 86400.0, "segment window length in seconds"),
-    "timestamp_format": Opt(str, "iso", "timestamp column format", ("iso", "epoch")),
-    "whisker": Opt(float, 1.5, "scalar boxplot whisker"),
-    "margin": Opt(float, 0.05, "support margin fraction"),
-    "grid_nodes": Opt(int, 512, "density grid nodes"),
-    "bandwidth": Opt(str, "auto", "KDE bandwidth, a number or 'auto' (Silverman)"),
-    "min_count": Opt(int, 30, "minimum samples per retained segment"),
-    "support": Opt(str, None, "externally estimated support as LOW:HIGH"),
-    "threads": Opt(int, None, "worker threads, 0 = all cores (default: BAYES_CPD_THREADS or 1)"),
-    "out": Opt(str, None, "output density CSV path"),
-    "report": Opt(str, None, "write the ingestion report JSON here instead of stdout"),
-}
-
-_EXPERIMENT_OPTS: dict[str, Opt] = {
-    "generator": Opt(str, None, "data-generating model", GENERATORS),
-    "n": Opt(int, 100, "sequence length"),
-    "k_star": Opt(int, 50, "true change-point"),
-    "replicates": Opt(int, 50, "number of replicates"),
-    "contamination_count": Opt(int, 0, "outlying densities injected per replicate"),
-    "clean": Opt(bool, False, "clean before detection"),
-    "detector": Opt(str, "clr-median-distance", "distributional outlier detector",
-                    DETECTOR_NAMES),
-    "alpha": Opt(float, 0.05, "significance level"),
-    "mc_samples": Opt(int, 2000, "Monte Carlo samples"),
-    "theta": Opt(float, 0.95, "truncation threshold"),
-    "seed": Opt(int, 0, "RNG seed"),
-    "grid_nodes": Opt(int, 512, "density grid nodes"),
-    "bridge_nodes": Opt(int, 1001, "Brownian bridge grid nodes"),
-    "centering": Opt(str, CENTERING_GLOBAL, "residual centering mode",
-                     (CENTERING_GLOBAL, CENTERING_SEGMENTED)),
-    "compare_l2": Opt(bool, False, "also run the raw-L2 competitor"),
-    "threads": Opt(int, None, "worker threads, 0 = all cores (default: BAYES_CPD_THREADS or 1)"),
-    "out_dir": Opt(str, None, "directory for report JSON and CSVs"),
-}
-
-_CLEAN_OPTS: dict[str, Opt] = {
-    "detector": Opt(str, "clr-median-distance", "distributional outlier detector",
-                    DETECTOR_NAMES),
-    "whisker": Opt(float, 1.5, "boxplot whisker for the outlier detector"),
-    "out": Opt(str, None, "output cleaned density CSV path"),
-    "report": Opt(str, None, "write the cleaning report JSON here instead of stdout"),
-}
+def _add_detection_options(p: argparse.ArgumentParser) -> None:
+    """The detector settings ``detect`` and ``experiment`` share."""
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
+    p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES,
+                   help="Monte Carlo samples of the limiting distribution")
+    p.add_argument("--theta", type=float, default=DEFAULT_THETA,
+                   help="cumulative eigenvalue share kept in the truncation")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--bridge-nodes", type=int, default=DEFAULT_BRIDGE_NODES,
+                   help="grid nodes per simulated Brownian bridge")
+    p.add_argument("--centering", default=CENTERING_GLOBAL, choices=CENTERINGS,
+                   help="residual centering mode")
 
 
-def _add_options(parser: argparse.ArgumentParser, opts: dict[str, Opt]) -> None:
-    parser.add_argument("--config", help="flat key = value config file", default=None)
-    for name, opt in opts.items():
-        flag = "--" + name.replace("_", "-")
-        if opt.kind is bool:
-            parser.add_argument(flag, dest=name, action="store_const", const=True,
-                                default=None, help=_opt_help(opt))
-        else:
-            parser.add_argument(flag, dest=name, type=opt.kind, default=None,
-                                choices=opt.choices, help=_opt_help(opt))
+def _add_detector_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--detector", default=ClrMedianDistanceDetector.name,
+                   choices=DETECTOR_NAMES, help="distributional outlier detector")
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -155,48 +94,24 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file of a first parse as flags, in file order.
 
-
-def _coerce(name: str, opt: Opt, raw: str):
-    if opt.kind is bool:
-        lowered = raw.lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
-        raise StructuralError(f"config key {name!r}: not a boolean: {raw!r}")
-    try:
-        value = opt.kind(raw)
-    except ValueError:
-        raise StructuralError(
-            f"config key {name!r}: cannot parse {raw!r} as {opt.kind.__name__}"
-        ) from None
-    if opt.choices is not None and value not in opt.choices:
-        raise StructuralError(
-            f"config key {name!r}: {value!r} not in {opt.choices}"
-        )
-    return value
-
-
-def _resolve(args: argparse.Namespace, opts: dict[str, Opt]) -> dict:
-    config: dict[str, str] = {}
-    if args.config is not None:
-        config = _parse_config_file(args.config)
-        for key in config:
-            if key not in opts:
-                raise StructuralError(f"unknown config key: {key!r}")
-    merged = {}
-    for name, opt in opts.items():
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            merged[name] = cli_value
-        elif name in config:
-            merged[name] = _coerce(name, opt, config[name])
-        else:
-            merged[name] = opt.default
-    return merged
+    A boolean key emits its bare flag when true and nothing when false, so
+    a config file can switch a flag on but never off.
+    """
+    argv = []
+    for key, value in _parse_config_file(args.config).items():
+        if key not in vars(args) or key == "config":
+            raise StructuralError(f"unknown config key: {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            argv.append(f"{flag}={value}")
+        elif value.lower() in _TRUE:
+            argv.append(flag)
+        elif value.lower() not in _FALSE:
+            raise StructuralError(f"config key {key!r}: not a boolean: {value!r}")
+    return argv
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
@@ -211,129 +126,105 @@ def _read_sequence(path: str) -> DistributionalSequence:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _DETECT_OPTS)
     seq = _read_sequence(args.density_csv)
-    threads = resolve_threads(opts["threads"])
     detect_kwargs = dict(
-        alpha=opts["alpha"], mc_samples=opts["mc_samples"], theta=opts["theta"],
-        seed=opts["seed"], method=opts["method"], centering=opts["centering"],
-        bridge_nodes=opts["bridge_nodes"], threads=threads,
+        alpha=args.alpha, mc_samples=args.mc_samples, theta=args.theta,
+        seed=args.seed, method=args.method, centering=args.centering,
+        bridge_nodes=args.bridge_nodes, threads=resolve_threads(args.threads),
     )
     cleaning_report = None
-    if opts["clean"]:
-        if opts["method"] != METHOD_BAYES:
+    if args.clean:
+        if args.method != METHOD_BAYES:
             raise StructuralError("--clean is only available with the bayes-clr method")
-        detector = build_detector(opts["detector"], opts["whisker"])
+        detector = build_detector(args.detector, args.whisker)
         cleaning_report, result = clean_and_detect(seq, detector, **detect_kwargs)
     else:
         result = detect(seq, **detect_kwargs)
 
-    if opts["profile_csv"] is not None:
-        bio.write_profile_csv(opts["profile_csv"], cusum_profile(seq, opts["method"]))
+    if args.profile_csv is not None:
+        bio.write_profile_csv(args.profile_csv, cusum_profile(seq, args.method))
     increment_path = None
-    if opts["increment_csv"] is not None and result.increment is not None:
-        increment_path = opts["increment_csv"]
+    if args.increment_csv is not None and result.increment is not None:
+        increment_path = args.increment_csv
         bio.write_density_csv(increment_path, seq.grid, result.increment.values[None, :])
-    if cleaning_report is not None and opts["cleaning_report"] is not None:
-        bio.dump_json(bio.cleaning_report_to_dict(cleaning_report), opts["cleaning_report"])
+    if cleaning_report is not None and args.cleaning_report is not None:
+        bio.dump_json(bio.cleaning_report_to_dict(cleaning_report), args.cleaning_report)
 
     # A degenerate *result* (zero profile / zero covariance) is still a valid
     # non-rejection; exit 3 is reserved for input the pipeline cannot analyze.
-    _emit_json(bio.detection_result_to_dict(result, increment_path), opts["out"])
+    _emit_json(bio.detection_result_to_dict(result, increment_path), args.out)
     return EXIT_REJECT if result.reject_null else EXIT_NO_REJECT
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _SIMULATE_OPTS)
-    if opts["generator"] is None:
+    if args.generator is None:
         raise StructuralError("simulate needs --generator")
-    if opts["out"] is None:
+    if args.out is None:
         raise StructuralError("simulate needs --out")
-    grid = Grid(opts["grid_nodes"])
-    generate = _GENERATOR_FNS[opts["generator"]]
-    seq = generate(opts["n"], opts["kstar"], derive_seed(opts["seed"], 0), grid)
+    grid = Grid(args.grid_nodes)
+    generate = _GENERATOR_FNS[args.generator]
+    seq = generate(args.n, args.kstar, derive_seed(args.seed, 0), grid)
     contaminated: tuple[int, ...] = ()
-    if opts["contaminate"] > 0:
-        outliers = gen_outliers(opts["contaminate"], derive_seed(opts["seed"], 3), grid)
-        seq, contaminated = contaminate(seq, outliers, derive_seed(opts["seed"], 2))
-    bio.write_density_csv(opts["out"], grid, seq.values)
-    sidecar = opts["sidecar"] or (opts["out"] + ".meta.json")
+    if args.contaminate > 0:
+        outliers = gen_outliers(args.contaminate, derive_seed(args.seed, 3), grid)
+        seq, contaminated = contaminate(seq, outliers, derive_seed(args.seed, 2))
+    bio.write_density_csv(args.out, grid, seq.values)
     bio.dump_json(
-        bio.simulate_sidecar_to_dict(opts["kstar"], contaminated, opts["seed"]),
-        sidecar,
+        bio.simulate_sidecar_to_dict(args.kstar, contaminated, args.seed),
+        args.sidecar or (args.out + ".meta.json"),
     )
     return 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _INGEST_OPTS)
-    if opts["out"] is None:
+    if args.out is None:
         raise StructuralError("ingest needs --out")
-    bandwidth = None if opts["bandwidth"] == "auto" else float(opts["bandwidth"])
     support = None
-    if opts["support"] is not None:
+    if args.support is not None:
         try:
-            lo, hi = (float(part) for part in opts["support"].split(":"))
+            lo, hi = (float(part) for part in args.support.split(":"))
         except ValueError:
             raise StructuralError(
-                f"--support must look like LOW:HIGH, got {opts['support']!r}"
+                f"--support must look like LOW:HIGH, got {args.support!r}"
             ) from None
         support = (lo, hi)
-    series = bio.read_raw_series_csv(args.raw_csv, opts["timestamp_format"])
+    series = bio.read_raw_series_csv(args.raw_csv, args.timestamp_format)
     config = IngestConfig(
-        window_seconds=opts["window_seconds"],
-        whisker=opts["whisker"],
-        margin_fraction=opts["margin"],
-        grid_nodes=opts["grid_nodes"],
-        bandwidth=bandwidth,
-        min_count=opts["min_count"],
-        support=support,
-        threads=resolve_threads(opts["threads"]),
+        window_seconds=args.window_seconds, whisker=args.whisker,
+        margin_fraction=args.margin, grid_nodes=args.grid_nodes,
+        bandwidth=None if args.bandwidth == "auto" else float(args.bandwidth),
+        min_count=args.min_count, support=support,
+        threads=resolve_threads(args.threads),
     )
     seq, report = build_sequence(series, config)
-    bio.write_density_csv(opts["out"], seq.grid, seq.values)
-    _emit_json(bio.ingestion_report_to_dict(report), opts["report"])
+    bio.write_density_csv(args.out, seq.grid, seq.values)
+    _emit_json(bio.ingestion_report_to_dict(report), args.report)
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _EXPERIMENT_OPTS)
-    if opts["generator"] is None:
+    if args.generator is None:
         raise StructuralError("experiment needs a generator (flag or config key)")
-    if opts["out_dir"] is None:
+    if args.out_dir is None:
         raise StructuralError("experiment needs --out-dir")
-    threads = resolve_threads(opts["threads"])
-    config = ExperimentConfig(
-        generator=opts["generator"], n=opts["n"], k_star=opts["k_star"],
-        replicates=opts["replicates"],
-        contamination_count=opts["contamination_count"],
-        clean=opts["clean"], detector=opts["detector"], alpha=opts["alpha"],
-        mc_samples=opts["mc_samples"], theta=opts["theta"], seed=opts["seed"],
-        grid_nodes=opts["grid_nodes"], bridge_nodes=opts["bridge_nodes"],
-        centering=opts["centering"], compare_l2=opts["compare_l2"],
-        threads=threads,
-    )
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    config = ExperimentConfig(**{**settings, "threads": resolve_threads(args.threads)})
     report = run_experiment(config)
     if "error" in report.summaries:
         print(f"{report.summaries['error'].count} of {config.replicates} replicates errored",
               file=sys.stderr)
-    out_dir = Path(opts["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bio.dump_json(bio.experiment_report_to_dict(report), out_dir / "report.json")
-    bio.write_replicates_csv(out_dir / "replicates.csv", report)
-    bio.write_boxplot_csv(out_dir / "boxplot.csv", report)
+    bio.write_experiment_outputs(args.out_dir, report)
     return 0
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _CLEAN_OPTS)
-    if opts["out"] is None:
+    if args.out is None:
         raise StructuralError("clean needs --out")
     seq = _read_sequence(args.density_csv)
-    report = clean(seq, build_detector(opts["detector"], opts["whisker"]))
-    bio.write_density_csv(opts["out"], seq.grid,
+    report = clean(seq, build_detector(args.detector, args.whisker))
+    bio.write_density_csv(args.out, seq.grid,
                           seq.subsequence(report.kept_indices).values)
-    _emit_json(bio.cleaning_report_to_dict(report), opts["report"])
+    _emit_json(bio.cleaning_report_to_dict(report), args.report)
     return 0
 
 
@@ -344,50 +235,108 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", help="detect a mean break in a density CSV")
-    p.add_argument("density_csv", help="density CSV (grid row + one row per density)")
-    _add_options(p, _DETECT_OPTS)
-    p.set_defaults(fn=_cmd_detect)
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary, formatter_class=_HelpFormatter)
+        p.add_argument("--config", help="flat key = value config file")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("simulate", help="generate a synthetic density CSV")
-    _add_options(p, _SIMULATE_OPTS)
-    p.set_defaults(fn=_cmd_simulate)
+    density_csv_help = "density CSV (grid row + one row per density)"
+    whisker_help = "boxplot whisker for the outlier detector"
+    density_out_help = "output density CSV path"
 
-    p = sub.add_parser("ingest", help="turn a raw timestamp,value CSV into densities")
+    p = command("detect", _cmd_detect, "detect a mean break in a density CSV")
+    p.add_argument("density_csv", help=density_csv_help)
+    _add_detection_options(p)
+    p.add_argument("--method", default=METHOD_BAYES, choices=METHODS, help="detection method")
+    p.add_argument("--clean", action="store_true",
+                   help="remove distributional outliers before detection")
+    _add_detector_option(p)
+    p.add_argument("--whisker", type=float, default=DEFAULT_WHISKER, help=whisker_help)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p.add_argument("--out", help="write the result JSON here instead of stdout")
+    p.add_argument("--profile-csv",
+                   help="also write the CUSUM profile CSV of the input sequence here")
+    p.add_argument("--increment-csv", help="write the estimated mean increment density CSV here")
+    p.add_argument("--cleaning-report", help="write the cleaning report JSON here")
+
+    p = command("simulate", _cmd_simulate, "generate a synthetic density CSV")
+    p.add_argument("--generator", choices=GENERATORS, help="data-generating model")
+    p.add_argument("--n", type=int, default=100, help="sequence length")
+    p.add_argument("--kstar", type=int, default=50, help="true change-point")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--grid-nodes", type=int, default=DEFAULT_NODE_COUNT, help="density grid nodes")
+    p.add_argument("--contaminate", type=int, default=0,
+                   help="number of outlying densities to inject")
+    p.add_argument("--out", help=density_out_help)
+    p.add_argument("--sidecar", help="ground-truth sidecar JSON path (default: OUT.meta.json)")
+
+    p = command("ingest", _cmd_ingest, "turn a raw timestamp,value CSV into densities")
     p.add_argument("raw_csv", help="raw series CSV with header timestamp,value")
-    _add_options(p, _INGEST_OPTS)
-    p.set_defaults(fn=_cmd_ingest)
+    p.add_argument("--window-seconds", type=float, default=IngestConfig.window_seconds,
+                   help="segment window length in seconds")
+    p.add_argument("--timestamp-format", default="iso", choices=bio.TIMESTAMP_FORMATS,
+                   help="timestamp column format")
+    p.add_argument("--whisker", type=float, default=IngestConfig.whisker,
+                   help="scalar boxplot whisker")
+    p.add_argument("--margin", type=float, default=IngestConfig.margin_fraction,
+                   help="support margin fraction")
+    p.add_argument("--grid-nodes", type=int, default=IngestConfig.grid_nodes,
+                   help="density grid nodes")
+    p.add_argument("--bandwidth", default="auto",
+                   help="KDE bandwidth, a number or 'auto' (Silverman)")
+    p.add_argument("--min-count", type=int, default=IngestConfig.min_count,
+                   help="minimum samples per retained segment")
+    p.add_argument("--support", help="externally estimated support as LOW:HIGH")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p.add_argument("--out", help=density_out_help)
+    p.add_argument("--report", help="write the ingestion report JSON here instead of stdout")
 
-    p = sub.add_parser("experiment", help="run a repeated-detection experiment")
-    _add_options(p, _EXPERIMENT_OPTS)
-    p.set_defaults(fn=_cmd_experiment)
+    p = command("experiment", _cmd_experiment, "run a repeated-detection experiment")
+    p.add_argument("--generator", choices=GENERATORS, help="data-generating model")
+    p.add_argument("--n", type=int, default=ExperimentConfig.n, help="sequence length")
+    p.add_argument("--k-star", type=int, default=ExperimentConfig.k_star,
+                   help="true change-point")
+    p.add_argument("--replicates", type=int, default=ExperimentConfig.replicates,
+                   help="number of replicates")
+    p.add_argument("--contamination-count", type=int,
+                   default=ExperimentConfig.contamination_count,
+                   help="outlying densities injected per replicate")
+    p.add_argument("--clean", action="store_true", help="clean before detection")
+    _add_detector_option(p)
+    p.add_argument("--grid-nodes", type=int, default=ExperimentConfig.grid_nodes,
+                   help="density grid nodes")
+    _add_detection_options(p)
+    p.add_argument("--compare-l2", action="store_true", help="also run the raw-L2 competitor")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p.add_argument("--out-dir", help="directory for report JSON and CSVs")
 
-    p = sub.add_parser("clean", help="remove outlying densities from a density CSV")
-    p.add_argument("density_csv", help="density CSV (grid row + one row per density)")
-    _add_options(p, _CLEAN_OPTS)
-    p.set_defaults(fn=_cmd_clean)
+    p = command("clean", _cmd_clean, "remove outlying densities from a density CSV")
+    p.add_argument("density_csv", help=density_csv_help)
+    _add_detector_option(p)
+    p.add_argument("--whisker", type=float, default=DEFAULT_WHISKER, help=whisker_help)
+    p.add_argument("--out", help="output cleaned density CSV path")
+    p.add_argument("--report", help="write the cleaning report JSON here instead of stdout")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Config flags go first, so the user's own flags win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
+        return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (StructuralError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BayesCpdError as exc:
+    except (BayesCpdError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,6 +40,34 @@ METHODS = (METHOD_BAYES, METHOD_L2)
 
 CENTERING_GLOBAL = "global"
 CENTERING_SEGMENTED = "segmented"
+CENTERINGS = (CENTERING_GLOBAL, CENTERING_SEGMENTED)
+
+
+def check_settings(
+    alpha: float = DEFAULT_ALPHA,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    theta: float = DEFAULT_THETA,
+    bridge_nodes: int = DEFAULT_BRIDGE_NODES,
+    centering: str = CENTERING_GLOBAL,
+    method: str = METHOD_BAYES,
+) -> None:
+    """Raise :class:`StructuralError` for a detection setting outside its range.
+
+    :func:`detect` runs this before it looks at the data, so a bad setting
+    fails the same way on every sequence.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise StructuralError(f"alpha must be in (0, 1), got {alpha}")
+    if mc_samples < 1:
+        raise StructuralError(f"mc_samples must be >= 1, got {mc_samples}")
+    if not 0.0 < theta <= 1.0:
+        raise StructuralError(f"theta must be in (0, 1], got {theta}")
+    if bridge_nodes < 64:
+        raise StructuralError(f"bridge_nodes must be >= 64, got {bridge_nodes}")
+    if centering not in CENTERINGS:
+        raise StructuralError(f"unknown centering mode {centering!r}; choose from {CENTERINGS}")
+    if method not in METHODS:
+        raise StructuralError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,34 +231,27 @@ def clr_cusum(seq: DistributionalSequence, k: int) -> ClrFunction:
 
 
 def _method_matrix(seq: DistributionalSequence, method: str) -> np.ndarray:
-    """The embedding a method tests: clr rows or raw density values."""
-    if method == METHOD_BAYES:
-        return seq.clr_matrix()
-    if method == METHOD_L2:
-        return seq.values
-    raise StructuralError(f"unknown method {method!r}; choose from {METHODS}")
+    """The embedding a checked method tests: clr rows or raw density values."""
+    return seq.clr_matrix() if method == METHOD_BAYES else seq.values
 
 
 def cusum_profile(seq: DistributionalSequence, method: str = METHOD_BAYES) -> CusumProfile:
     """Squared CUSUM norm for every split k = 1..n: the Bayes norm of the clr
     rows for ``bayes-clr``, the L2 norm of the raw values for ``l2-raw``."""
+    check_settings(method=method)
     return _profile_from_matrix(_method_matrix(seq, method), seq.grid.weights)
 
 
 def _residual_matrix(mat: np.ndarray, centering: str, k_hat: int | None) -> np.ndarray:
-    n = mat.shape[0]
+    """Residuals of a checked centering mode."""
     if centering == CENTERING_GLOBAL:
         return mat - mat.mean(axis=0)
-    if centering == CENTERING_SEGMENTED:
-        if k_hat is None or not 1 <= k_hat < n:
-            raise DegenerateInputError(
-                f"segmented centering needs 1 <= k_hat < n, got {k_hat}"
-            )
-        out = np.empty_like(mat)
-        out[:k_hat] = mat[:k_hat] - mat[:k_hat].mean(axis=0)
-        out[k_hat:] = mat[k_hat:] - mat[k_hat:].mean(axis=0)
-        return out
-    raise StructuralError(f"unknown centering mode {centering!r}")
+    if k_hat is None or not 1 <= k_hat < mat.shape[0]:
+        raise DegenerateInputError(f"segmented centering needs 1 <= k_hat < n, got {k_hat}")
+    out = np.empty_like(mat)
+    out[:k_hat] = mat[:k_hat] - mat[:k_hat].mean(axis=0)
+    out[k_hat:] = mat[k_hat:] - mat[k_hat:].mean(axis=0)
+    return out
 
 
 def residuals(
@@ -239,6 +260,7 @@ def residuals(
     k_hat: int | None = None,
 ) -> list[ClrFunction]:
     """clr residuals after removing the global or per-segment clr mean."""
+    check_settings(centering=centering)
     mat = _residual_matrix(seq.clr_matrix(), centering, k_hat)
     return [ClrFunction(seq.grid, row) for row in mat]
 
@@ -288,8 +310,7 @@ def covariance_eigen(
     """
     if len(residual_functions) < 2:
         raise StructuralError("need at least 2 residuals for a covariance")
-    if not 0.0 < theta <= 1.0:
-        raise StructuralError(f"theta must be in (0, 1], got {theta}")
+    check_settings(theta=theta)
     grid = residual_functions[0].grid
     mat = np.vstack([r.values for r in residual_functions])
     return _covariance_eigen_from_matrix(mat, grid.weights, theta)
@@ -330,10 +351,7 @@ def simulate_limit_samples(
         raise DegenerateInputError("no eigenvalues retained; nothing to simulate")
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise NumericError("eigenvalues must be finite and non-negative")
-    if mc_samples < 1:
-        raise StructuralError(f"mc_samples must be >= 1, got {mc_samples}")
-    if bridge_nodes < 64:
-        raise StructuralError(f"bridge_nodes must be >= 64, got {bridge_nodes}")
+    check_settings(mc_samples=mc_samples, bridge_nodes=bridge_nodes)
 
     counts = [_MC_CHUNK] * (mc_samples // _MC_CHUNK)
     if mc_samples % _MC_CHUNK:
@@ -387,8 +405,7 @@ def detect(
     non-rejection with p = 1.  A Bayes-space rejection at an interior split
     carries the estimated mean increment.
     """
-    if not 0.0 < alpha < 1.0:
-        raise StructuralError(f"alpha must be in (0, 1), got {alpha}")
+    check_settings(alpha, mc_samples, theta, bridge_nodes, centering, method)
     mat = _method_matrix(seq, method)
     weights = seq.grid.weights
     profile = _profile_from_matrix(mat, weights)

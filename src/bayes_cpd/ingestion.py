@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cleaning import DEFAULT_WHISKER, boxplot_keep_mask
-from .density import DensityFunction, Grid, integrate, zero_avoid
+from .density import DEFAULT_NODE_COUNT, DensityFunction, Grid, integrate, zero_avoid
 from .engine import DistributionalSequence
 from .errors import DegenerateInputError, StructuralError
 from .seeds import parallel_map
@@ -187,7 +187,7 @@ class IngestConfig:
     window_seconds: float = 86400.0
     whisker: float = DEFAULT_WHISKER
     margin_fraction: float = DEFAULT_MARGIN_FRACTION
-    grid_nodes: int = 512
+    grid_nodes: int = DEFAULT_NODE_COUNT
     bandwidth: float | None = None  # None = Silverman per segment
     min_count: int = DEFAULT_MIN_SEGMENT_COUNT
     support: tuple[float, float] | None = None  # externally estimated, optional

@@ -23,6 +23,8 @@ from .simlab import ExperimentReport
 
 _GRID_REL_TOL = 1e-9
 
+TIMESTAMP_FORMATS = ("iso", "epoch")
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -111,7 +113,7 @@ def _parse_timestamp(cell: str, timestamp_format: str, line: int) -> float:
 
 
 def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
-    if timestamp_format not in ("iso", "epoch"):
+    if timestamp_format not in TIMESTAMP_FORMATS:
         raise StructuralError(f"timestamp_format must be iso|epoch, got {timestamp_format!r}")
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -189,6 +191,15 @@ def write_boxplot_csv(path, report: ExperimentReport) -> None:
                 method, _fmt(med), _fmt(q1), _fmt(q3), _fmt(lo), _fmt(hi),
                 len(fliers), ";".join(_fmt(f) for f in fliers),
             ])
+
+
+def write_experiment_outputs(out_dir, report: ExperimentReport) -> None:
+    """Write ``report.json``, ``replicates.csv`` and ``boxplot.csv`` into ``out_dir``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dump_json(experiment_report_to_dict(report), out_dir / "report.json")
+    write_replicates_csv(out_dir / "replicates.csv", report)
+    write_boxplot_csv(out_dir / "boxplot.csv", report)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cleaning import build_detector, clean_and_detect
+from .cleaning import ClrMedianDistanceDetector, build_detector, clean_and_detect
 from .density import (
+    DEFAULT_NODE_COUNT,
     DensityFunction,
     Grid,
     beta_pdf_values,
@@ -34,6 +35,7 @@ from .engine import (
     METHOD_L2,
     DetectionResult,
     DistributionalSequence,
+    check_settings,
     detect,
 )
 from .errors import BayesCpdError, StructuralError
@@ -205,12 +207,12 @@ class ExperimentConfig:
     replicates: int = 50
     contamination_count: int = 0
     clean: bool = False
-    detector: str = "clr-median-distance"
+    detector: str = ClrMedianDistanceDetector.name
     alpha: float = DEFAULT_ALPHA
     mc_samples: int = DEFAULT_MC_SAMPLES
     theta: float = DEFAULT_THETA
     seed: int = 0
-    grid_nodes: int = 512
+    grid_nodes: int = DEFAULT_NODE_COUNT
     bridge_nodes: int = DEFAULT_BRIDGE_NODES
     centering: str = CENTERING_GLOBAL
     compare_l2: bool = False
@@ -229,6 +231,10 @@ class ExperimentConfig:
             )
         if self.replicates < 1:
             raise StructuralError("replicates must be >= 1")
+        check_settings(self.alpha, self.mc_samples, self.theta, self.bridge_nodes,
+                       self.centering)
+        if self.clean:
+            build_detector(self.detector)  # raises on an unknown name
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,15 @@ def sim_csv(tmp_path):
     return out
 
 
+def _small_break_csv(tmp_path):
+    grid = Grid(64)
+    pre = zero_avoid(beta_density(grid, 12, 12)).values
+    post = zero_avoid(beta_density(grid, 6, 14)).values
+    path = tmp_path / "small.csv"
+    write_density_csv(path, grid, np.vstack([pre] * 5 + [post] * 5))
+    return path
+
+
 class TestDetectCommand:
     def test_break_found_exit_zero(self, sim_csv, tmp_path):
         res = tmp_path / "res.json"
@@ -122,6 +131,13 @@ class TestDetectCommand:
         assert payload["mc_samples"] == 200  # flag wins
         assert payload["seed"] == 9          # config wins over default
         assert payload["alpha"] == 0.01
+
+    def test_theta_out_of_range_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["detect", str(_small_break_csv(tmp_path)), "--theta", "2",
+                     "--mc-samples", "50", "--out", str(out)]) == 2
+        assert "theta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exit_two(self, sim_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -273,12 +289,66 @@ class TestExperimentCommand:
         validate(payload, "experiment_report")
         assert payload["summaries"]["error"]["count"] == 3
 
+    def test_alpha_out_of_range_exit_two_without_report(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--generator", "model2", "--replicates", "3",
+                     "--n", "20", "--k-star", "10", "--grid-nodes", "64",
+                     "--alpha", "1.5", "--out-dir", str(out_dir)]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("generator = model1\nbogus = 7\n")
         assert main(["experiment", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    """The ``--config`` contract: values parse like flags, flags win."""
+
+    @pytest.mark.parametrize("text", ["alpha = x\n", "centering = sideways\n",
+                                      "clean = maybe\n", "mc_samples 100\n"],
+                             ids=["non-numeric", "bad-choice", "bad-boolean", "no-equals"])
+    def test_bad_config_exit_two(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "r.json"
+        assert main(["detect", str(_small_break_csv(tmp_path)), "--config", str(cfg),
+                     "--mc-samples", "50", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_boolean_yes_turns_on_l2_arm(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("generator = model2\nreplicates = 1\nmc_samples = 50\n"
+                       "n = 20\nk_star = 10\ngrid_nodes = 64\ncompare_l2 = yes\n")
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        methods = {r["method"] for r in json.loads((out_dir / "report.json").read_text())
+                   ["replicates"]}
+        assert methods == {"bayes-clr", "l2-raw"}
+
+    def test_boolean_off_leaves_cleaning_off(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("clean = off\n")
+        rep = tmp_path / "cleaning.json"
+        assert main(["detect", str(_small_break_csv(tmp_path)), "--config", str(cfg),
+                     "--mc-samples", "50", "--out", str(tmp_path / "r.json"),
+                     "--cleaning-report", str(rep)]) in (0, 1)
+        assert not rep.exists()
+
+    def test_experiment_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("generator = model2\nreplicates = 1\nmc_samples = 50\n"
+                       "n = 20\nk_star = 10\ngrid_nodes = 64\nseed = 3\n")
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--replicates", "2",
+                     "--generator", "model1", "--out-dir", str(out_dir)]) == 0
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["config"]["replicates"] == 2
+        assert payload["config"]["generator"] == "model1"
+        assert payload["config"]["seed"] == 3
 
 
 def _write_one_outlier_of_four(tmp_path):

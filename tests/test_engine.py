@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from bayes_cpd import (
     DistributionalSequence,
+    Grid,
     b_add,
     b_smul,
     beta_density,
@@ -362,6 +363,20 @@ class TestPipelineFactoring:
     def test_l2_constant_sequence_never_rejects(self, grid):
         result = detect(constant_sequence(grid, 8), mc_samples=50, seed=0, method="l2-raw")
         assert not result.reject_null and result.degenerate
+
+
+class TestSettingsChecked:
+    """A setting out of range fails before the data are looked at."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("theta", 2.0), ("theta", 0.0), ("theta", -1.0), ("alpha", 1.5), ("alpha", 0.0),
+        ("mc_samples", 0), ("bridge_nodes", 3), ("centering", "bogus"), ("method", "bogus"),
+    ])
+    @pytest.mark.parametrize("shape", ["regular", "identical-rows"])
+    def test_bad_setting_rejected_on_every_input(self, name, value, shape):
+        seq = gen_model1(60, 30, 3) if shape == "regular" else constant_sequence(Grid(64), 6)
+        with pytest.raises(StructuralError):
+            detect(seq, **{"mc_samples": 50, "seed": 1, name: value})
 
 
 class TestMeanIncrement:

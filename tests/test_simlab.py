@@ -217,3 +217,9 @@ class TestRunExperiment:
     def test_invalid_generator_rejected(self):
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="nope")
+
+    @pytest.mark.parametrize("bad", [{"alpha": 1.5}, {"theta": 2.0}, {"mc_samples": 0},
+                                     {"clean": True, "detector": "bogus"}])
+    def test_invalid_settings_rejected_before_any_replicate(self, bad):
+        with pytest.raises(StructuralError):
+            ExperimentConfig(generator="model1", **bad)
