@@ -33,7 +33,6 @@ from .engine import (
 from .cleaning import (
     CleaningReport,
     ClrMedianDistanceDetector,
-    NeverFlagDetector,
     clean,
     clean_and_detect,
     detect_distributional_outliers,

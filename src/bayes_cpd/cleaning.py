@@ -1,6 +1,6 @@
 """Robust outlier removal around change-point detection.
 
-Two layers: a classic boxplot filter for scalar samples, and a pluggable
+Two layers: a classic boxplot filter for scalar samples, and a
 distributional outlier detector that flags whole densities.  The cleaning
 pipeline removes flagged densities, detects on the remainder, and maps the
 estimated break back to original indexing, so reported change-points
@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .engine import DetectionResult, DistributionalSequence, detect
+from .engine import DetectionResult, DistributionalSequence, check_settings, detect
 from .errors import DegenerateInputError, StructuralError
 
 DEFAULT_WHISKER = 1.5
@@ -65,6 +65,8 @@ class ClrMedianDistanceDetector:
     name = "clr-median-distance"
 
     def __init__(self, whisker: float = DEFAULT_WHISKER):
+        if not whisker > 0:
+            raise StructuralError(f"whisker must be positive, got {whisker}")
         self.whisker = whisker
 
     def flag(self, seq: DistributionalSequence) -> tuple[int, ...]:
@@ -75,36 +77,6 @@ class ClrMedianDistanceDetector:
         q1, q3 = np.percentile(distances, [25, 75])
         fence = q3 + self.whisker * (q3 - q1)
         return tuple(int(i) + 1 for i in np.nonzero(distances > fence)[0])
-
-
-class NeverFlagDetector:
-    """Detector that flags nothing; cleaning composes to a no-op."""
-
-    name = "none"
-
-    def __init__(self, whisker: float = DEFAULT_WHISKER):
-        self.whisker = whisker
-
-    def flag(self, seq: DistributionalSequence) -> tuple[int, ...]:
-        return ()
-
-
-_DETECTOR_CLASSES = {
-    ClrMedianDistanceDetector.name: ClrMedianDistanceDetector,
-    NeverFlagDetector.name: NeverFlagDetector,
-}
-
-DETECTOR_NAMES = tuple(sorted(_DETECTOR_CLASSES))
-
-
-def build_detector(name: str, whisker: float = DEFAULT_WHISKER) -> OutlierDetector:
-    try:
-        cls = _DETECTOR_CLASSES[name]
-    except KeyError:
-        raise StructuralError(
-            f"unknown detector {name!r}; choose from {DETECTOR_NAMES}"
-        ) from None
-    return cls(whisker)
 
 
 @dataclass(frozen=True)
@@ -169,7 +141,12 @@ def clean_and_detect(
     detector: OutlierDetector | None = None,
     **detect_kwargs,
 ) -> tuple[CleaningReport, DetectionResult]:
-    """Remove flagged densities, detect on the remainder, restore indexing."""
+    """Remove flagged densities, detect on the remainder, restore indexing.
+
+    The detection settings are checked first, so a bad setting fails the
+    same way with cleaning as without it, whatever cleaning would remove.
+    """
+    check_settings(**{k: v for k, v in detect_kwargs.items() if k not in ("seed", "threads")})
     report = clean(seq, detector)
     result = detect(seq.subsequence(report.kept_indices), **detect_kwargs)
     return report, dc_replace(result, k_hat=report.map_position(result.k_hat))

@@ -15,14 +15,7 @@ import sys
 from pathlib import Path
 
 from . import io as bio
-from .cleaning import (
-    DEFAULT_WHISKER,
-    DETECTOR_NAMES,
-    ClrMedianDistanceDetector,
-    build_detector,
-    clean,
-    clean_and_detect,
-)
+from .cleaning import DEFAULT_WHISKER, ClrMedianDistanceDetector, clean, clean_and_detect
 from .density import DEFAULT_NODE_COUNT, Grid
 from .engine import (
     CENTERINGS,
@@ -76,11 +69,6 @@ def _add_detection_options(p: argparse.ArgumentParser) -> None:
                    help="residual centering mode")
 
 
-def _add_detector_option(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--detector", default=ClrMedianDistanceDetector.name,
-                   choices=DETECTOR_NAMES, help="distributional outlier detector")
-
-
 def _parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -121,8 +109,7 @@ def _emit_json(obj: dict, path: str | None) -> None:
 
 
 def _read_sequence(path: str) -> DistributionalSequence:
-    grid, values = bio.read_density_csv(path)
-    return DistributionalSequence._from_checked(grid, values)  # rows validated by io
+    return DistributionalSequence(*bio.read_density_csv(path))
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -136,8 +123,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.clean:
         if args.method != METHOD_BAYES:
             raise StructuralError("--clean is only available with the bayes-clr method")
-        detector = build_detector(args.detector, args.whisker)
-        cleaning_report, result = clean_and_detect(seq, detector, **detect_kwargs)
+        cleaning_report, result = clean_and_detect(
+            seq, ClrMedianDistanceDetector(args.whisker), **detect_kwargs)
     else:
         result = detect(seq, **detect_kwargs)
 
@@ -221,7 +208,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     if args.out is None:
         raise StructuralError("clean needs --out")
     seq = _read_sequence(args.density_csv)
-    report = clean(seq, build_detector(args.detector, args.whisker))
+    report = clean(seq, ClrMedianDistanceDetector(args.whisker))
     bio.write_density_csv(args.out, seq.grid,
                           seq.subsequence(report.kept_indices).values)
     _emit_json(bio.cleaning_report_to_dict(report), args.report)
@@ -251,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default=METHOD_BAYES, choices=METHODS, help="detection method")
     p.add_argument("--clean", action="store_true",
                    help="remove distributional outliers before detection")
-    _add_detector_option(p)
     p.add_argument("--whisker", type=float, default=DEFAULT_WHISKER, help=whisker_help)
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--out", help="write the result JSON here instead of stdout")
@@ -303,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=ExperimentConfig.contamination_count,
                    help="outlying densities injected per replicate")
     p.add_argument("--clean", action="store_true", help="clean before detection")
-    _add_detector_option(p)
     p.add_argument("--grid-nodes", type=int, default=ExperimentConfig.grid_nodes,
                    help="density grid nodes")
     _add_detection_options(p)
@@ -313,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("clean", _cmd_clean, "remove outlying densities from a density CSV")
     p.add_argument("density_csv", help=density_csv_help)
-    _add_detector_option(p)
     p.add_argument("--whisker", type=float, default=DEFAULT_WHISKER, help=whisker_help)
     p.add_argument("--out", help="output cleaned density CSV path")
     p.add_argument("--report", help="write the cleaning report JSON here instead of stdout")

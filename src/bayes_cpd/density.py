@@ -163,20 +163,33 @@ def _require_same_grid(f: DensityFunction, g: DensityFunction) -> Grid:
     return f.grid
 
 
-def _normalized_density(grid: Grid, values: np.ndarray) -> DensityFunction:
-    total = float(grid.weights @ values)
-    if not np.isfinite(total) or total < UNDERFLOW_LIMIT:
+def normalize_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` (or the one row of a vector) over its integral."""
+    totals = np.vecdot(values, grid.weights)
+    bad = ~(np.isfinite(totals) & (totals >= UNDERFLOW_LIMIT))
+    if bad.any():
+        total = float(np.extract(bad, totals)[0])
         raise NumericError(f"normalizing integral underflow/overflow: {total!r}")
-    return DensityFunction(grid, values / total)
+    return values / totals[..., None]
 
 
-def zero_avoid(f: DensityFunction) -> DensityFunction:
-    """Affine floor 0.9*f + 0.1: keeps unit integral, guarantees values >= 0.1.
+def _normalized_density(grid: Grid, values: np.ndarray) -> DensityFunction:
+    return DensityFunction(grid, normalize_rows(grid, values))
+
+
+def zero_avoid_rows(values: np.ndarray) -> np.ndarray:
+    """Affine floor 0.9*f + 0.1 of unit-integral rows: keeps unit integral,
+    guarantees values >= 0.1.
 
     The single sanctioned repair turning weakly positive densities into
     strictly positive ones so logarithms are defined.
     """
-    return DensityFunction(f.grid, 0.9 * f.values + 0.1)
+    return 0.9 * values + 0.1
+
+
+def zero_avoid(f: DensityFunction) -> DensityFunction:
+    """:func:`zero_avoid_rows` of one density."""
+    return DensityFunction(f.grid, zero_avoid_rows(f.values))
 
 
 def b_add(f: DensityFunction, g: DensityFunction) -> DensityFunction:
@@ -260,23 +273,34 @@ def first_moment(f: DensityFunction) -> float:
     return float(f.grid.weights @ (f.grid.nodes * f.values))
 
 
-def beta_pdf_values(grid: Grid, a: float, b: float) -> np.ndarray:
+def beta_pdf_values(grid: Grid, a, b) -> np.ndarray:
     """Raw Beta(a, b) density values on the grid, endpoints filled inward.
 
-    Endpoint nodes x = 0, 1 take the adjacent interior value: with shape
-    parameters > 1 the density vanishes there, and the copy keeps values
-    strictly positive for downstream log transforms.  Not renormalized.
+    Shapes ``a`` and ``b`` are scalars or equal-shape arrays; the result
+    has one grid row per shape pair, so arrays of k pairs give a (k, m)
+    matrix.  Endpoint nodes x = 0, 1 take the adjacent interior value:
+    with shape parameters > 1 the density vanishes there, and the copy
+    keeps values strictly positive for downstream log transforms.  Not
+    renormalized.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError(f"Beta shape parameters must be positive, got {a}, {b}")
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    bad = ~((a > 0) & (b > 0))
+    if bad.any():
+        i = np.argmax(bad.ravel())
+        raise DomainError(
+            f"Beta shape parameters must be positive, got {a.flat[i]}, {b.flat[i]}"
+        )
+    a, b = a[..., None], b[..., None]
     x = grid.nodes[1:-1]
     log_pdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b)
-    values = np.empty(grid.node_count)
-    values[1:-1] = np.exp(log_pdf)
-    values[0] = values[1]
-    values[-1] = values[-2]
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"Beta({a}, {b}) overflows on this grid")
+    values = np.empty(log_pdf.shape[:-1] + (grid.node_count,))
+    values[..., 1:-1] = np.exp(log_pdf)
+    values[..., 0] = values[..., 1]
+    values[..., -1] = values[..., -2]
+    finite = np.isfinite(values).all(axis=-1)
+    if not finite.all():
+        i = np.argmin(finite.ravel())
+        raise NumericError(f"Beta({a.flat[i]}, {b.flat[i]}) overflows on this grid")
     return values
 
 

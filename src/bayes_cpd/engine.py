@@ -84,23 +84,8 @@ class DistributionalSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "values", check_density_rows(self.grid, self.values))
-        self._require_four()
-
-    def _require_four(self) -> None:
         if self.n < 4:
             raise DegenerateInputError(f"sequence needs at least 4 densities, got {self.n}")
-
-    @classmethod
-    def _from_checked(cls, grid: Grid, values: np.ndarray) -> "DistributionalSequence":
-        """Wrap a fresh matrix of rows already validated (by :func:`check_density_rows`
-        or as :class:`DensityFunction` values); no copy and no second check."""
-        seq = object.__new__(cls)
-        values.flags.writeable = False
-        object.__setattr__(seq, "grid", grid)
-        object.__setattr__(seq, "values", values)
-        object.__setattr__(seq, "_clr", None)
-        seq._require_four()
-        return seq
 
     @classmethod
     def from_densities(cls, densities: Sequence[DensityFunction]) -> "DistributionalSequence":
@@ -111,7 +96,7 @@ class DistributionalSequence:
         grid = densities[0].grid
         if any(f.grid != grid for f in densities[1:]):
             raise StructuralError("densities do not share one grid")
-        return cls._from_checked(grid, np.vstack([f.values for f in densities]))
+        return cls(grid, np.vstack([f.values for f in densities]))
 
     @property
     def n(self) -> int:
@@ -133,14 +118,14 @@ class DistributionalSequence:
         return self._clr
 
     def reversed(self) -> "DistributionalSequence":
-        return self._from_checked(self.grid, self.values[::-1].copy())
+        return DistributionalSequence(self.grid, self.values[::-1])
 
     def subsequence(self, positions: Sequence[int]) -> "DistributionalSequence":
         """Sub-sequence at the given 1-based positions (order preserved)."""
         rows = np.asarray(positions, dtype=np.intp) - 1
         if rows.size and (rows.min() < 0 or rows.max() >= self.n):
             raise StructuralError(f"positions must lie in 1..{self.n}")
-        return self._from_checked(self.grid, self.values[rows])
+        return DistributionalSequence(self.grid, self.values[rows])
 
 
 @dataclass(frozen=True)

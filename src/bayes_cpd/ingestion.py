@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cleaning import DEFAULT_WHISKER, boxplot_keep_mask
-from .density import DEFAULT_NODE_COUNT, DensityFunction, Grid, integrate, zero_avoid
+from .density import DEFAULT_NODE_COUNT, DensityFunction, Grid, normalize_rows, zero_avoid_rows
 from .engine import DistributionalSequence
 from .errors import DegenerateInputError, StructuralError
 from .seeds import parallel_map
@@ -55,7 +55,12 @@ class RawSeries:
 
 @dataclass(frozen=True)
 class SupportEstimate:
-    """Common support of the feature values, with a symmetric margin."""
+    """Common support of the feature values, with a symmetric margin.
+
+    ``lower < upper`` is a precondition (:class:`StructuralError`, a usage
+    error); support estimated from data that cannot give one is rejected
+    earlier, by :func:`estimate_support`.
+    """
 
     lower: float
     upper: float
@@ -63,7 +68,7 @@ class SupportEstimate:
 
     def __post_init__(self):
         if not self.lower < self.upper:
-            raise DegenerateInputError(
+            raise StructuralError(
                 f"support must satisfy lower < upper, got [{self.lower}, {self.upper}]"
             )
 
@@ -176,8 +181,7 @@ def kde(values, grid: Grid, bandwidth: float | None = None) -> DensityFunction:
             z = (nodes - mirrored) / bandwidth
             total += np.exp(-0.5 * z * z).sum(axis=1)
     total /= values.size * bandwidth * np.sqrt(2.0 * np.pi)
-    estimate = DensityFunction(grid, total / integrate(total, grid))
-    return zero_avoid(estimate)
+    return DensityFunction(grid, zero_avoid_rows(normalize_rows(grid, total)))
 
 
 @dataclass(frozen=True)

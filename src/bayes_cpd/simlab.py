@@ -16,15 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cleaning import ClrMedianDistanceDetector, build_detector, clean_and_detect
+from .cleaning import ClrMedianDistanceDetector, clean_and_detect
 from .density import (
     DEFAULT_NODE_COUNT,
-    DensityFunction,
     Grid,
     beta_pdf_values,
-    beta_density,
-    integrate,
-    zero_avoid,
+    normalize_rows,
+    zero_avoid_rows,
 )
 from .engine import (
     CENTERING_GLOBAL,
@@ -47,14 +45,14 @@ GENERATORS = ("sim1", "model1", "model2", "model3")
 MODEL2_MEAN = 0.45
 
 
-def _mixture(grid: Grid, a1: float, b1: float, a2: float, b2: float) -> DensityFunction:
-    v = 0.5 * beta_density(grid, a1, b1).values + 0.5 * beta_density(grid, a2, b2).values
-    return DensityFunction(grid, v)
-
-
 def _validate_break(n: int, k_star: int) -> None:
     if not 1 <= k_star < n:
         raise StructuralError(f"need 1 <= k_star < n, got k_star={k_star}, n={n}")
+
+
+def _beta_rows(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit-integral Beta(a_i, b_i) rows, one per shape pair."""
+    return normalize_rows(grid, beta_pdf_values(grid, a, b))
 
 
 def gen_sim1(n: int, k_star: int, seed: int, grid: Grid | None = None) -> DistributionalSequence:
@@ -69,27 +67,25 @@ def gen_sim1(n: int, k_star: int, seed: int, grid: Grid | None = None) -> Distri
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
     a = rng.uniform(14.0, 25.0, n)
-    b = np.sort(a)
-    raw = np.vstack([beta_pdf_values(grid, a[i], b[i]) for i in range(n)])
+    raw = beta_pdf_values(grid, a, np.sort(a))
     raw[k_star:] += 0.8
     shifted = raw - raw.min()
-    return DistributionalSequence.from_densities(
-        zero_avoid(DensityFunction(grid, row / integrate(row, grid))) for row in shifted
-    )
+    return DistributionalSequence(grid, zero_avoid_rows(normalize_rows(grid, shifted)))
 
 
 def gen_model1(n: int, k_star: int, seed: int, grid: Grid | None = None) -> DistributionalSequence:
-    """Strong change: Beta(U(10,15), U(10,15)) turning into a bimodal mixture."""
+    """Strong change: Beta(U(10,15), U(10,15)) turning into the equal mixture of
+    Beta(U(25,40), U(15,20)) and Beta(U(2,4), U(4,6))."""
     _validate_break(n, k_star)
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
-    rows = [zero_avoid(beta_density(grid, rng.uniform(10, 15), rng.uniform(10, 15)))
-            for _ in range(k_star)]
-    for _ in range(n - k_star):
-        a1, b1 = rng.uniform(25, 40), rng.uniform(15, 20)
-        a2, b2 = rng.uniform(2, 4), rng.uniform(4, 6)
-        rows.append(zero_avoid(_mixture(grid, a1, b1, a2, b2)))
-    return DistributionalSequence.from_densities(rows)
+    pre = rng.uniform(10, 15, (k_star, 2))
+    a1, b1, a2, b2 = rng.uniform([25, 15, 2, 4], [40, 20, 4, 6], (n - k_star, 4)).T
+    rows = np.vstack([
+        _beta_rows(grid, pre[:, 0], pre[:, 1]),
+        0.5 * _beta_rows(grid, a1, b1) + 0.5 * _beta_rows(grid, a2, b2),
+    ])
+    return DistributionalSequence(grid, zero_avoid_rows(rows))
 
 
 def gen_model2(n: int, k_star: int, seed: int, grid: Grid | None = None) -> DistributionalSequence:
@@ -102,12 +98,10 @@ def gen_model2(n: int, k_star: int, seed: int, grid: Grid | None = None) -> Dist
     _validate_break(n, k_star)
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
-    ratio = 1.0 / MODEL2_MEAN - 1.0
-    rows = []
-    for i in range(n):
-        a = rng.uniform(15, 25) if i < k_star else rng.uniform(5, 10)
-        rows.append(zero_avoid(beta_density(grid, a, ratio * a)))
-    return DistributionalSequence.from_densities(rows)
+    pre = np.arange(n) < k_star
+    a = rng.uniform(np.where(pre, 15, 5), np.where(pre, 25, 10))
+    rows = _beta_rows(grid, a, (1.0 / MODEL2_MEAN - 1.0) * a)
+    return DistributionalSequence(grid, zero_avoid_rows(rows))
 
 
 def gen_model3(n: int, k_star: int, seed: int, grid: Grid | None = None) -> DistributionalSequence:
@@ -117,61 +111,69 @@ def gen_model3(n: int, k_star: int, seed: int, grid: Grid | None = None) -> Dist
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.005, 0.015)
-    rows = []
-    for i in range(n):
-        a = rng.uniform(15, 25)
-        beta = rng.uniform(0.85, 1.0) if i < k_star else rng.uniform(1.0 + q, 1.15 + q)
-        rows.append(zero_avoid(beta_density(grid, a, beta * a)))
-    return DistributionalSequence.from_densities(rows)
+    pre = (np.arange(n) < k_star)[:, None]
+    low = np.where(pre, [15, 0.85], [15, 1.0 + q])
+    high = np.where(pre, [25, 1.0], [25, 1.15 + q])
+    a, beta = rng.uniform(low, high).T  # per row: a, then beta
+    return DistributionalSequence(grid, zero_avoid_rows(_beta_rows(grid, a, beta * a)))
 
 
-def gen_outliers(n_outliers: int, seed: int, grid: Grid | None = None) -> list[DensityFunction]:
-    """Outlying densities: 30% bimodal mixtures, 70% skewed one-sided Betas."""
+def gen_outliers(n_outliers: int, seed: int, grid: Grid | None = None) -> np.ndarray:
+    """A (n_outliers, m) matrix of outlying densities: 30% equal mixtures of
+    two Betas (bimodal), 70% skewed one-sided Betas."""
     if n_outliers < 0:
         raise StructuralError(f"n_outliers must be >= 0, got {n_outliers}")
     grid = grid or Grid()
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_outliers):
-        z = rng.uniform()
-        if z > 0.7:
+    mixed = np.zeros(n_outliers, dtype=bool)
+    shapes = []  # Beta shape pairs in row order; a mixture takes two
+    for i in range(n_outliers):
+        if rng.uniform() > 0.7:
+            mixed[i] = True
             mu1, mu2 = rng.uniform(0.3, 0.4), rng.uniform(0.6, 0.7)
             a1, a2 = rng.uniform(8, 14), rng.uniform(15, 20)
-            f = _mixture(grid, a1, a1 / mu1 - a1, a2, a2 / mu2 - a2)
+            shapes += [(a1, a1 / mu1 - a1), (a2, a2 / mu2 - a2)]
         else:
             y = rng.uniform()
             a, b = rng.uniform(2, 5), rng.uniform(13, 16)
             c, d = rng.uniform(17, 22), rng.uniform(2, 5)
-            f = beta_density(grid, a, b) if y > 0.5 else beta_density(grid, c, d)
-        out.append(zero_avoid(f))
-    return out
+            shapes.append((a, b) if y > 0.5 else (c, d))
+    a, b = np.reshape(shapes, (-1, 2)).T
+    betas = _beta_rows(grid, a, b)
+    first = np.cumsum(1 + mixed) - (1 + mixed)  # row of each outlier's first Beta
+    rows = betas[first]
+    rows[mixed] = 0.5 * betas[first[mixed]] + 0.5 * betas[first[mixed] + 1]
+    return zero_avoid_rows(rows)
 
 
 def contaminate(
     seq: DistributionalSequence,
-    outliers: list[DensityFunction],
+    outliers: np.ndarray,
     seed: int,
 ) -> tuple[DistributionalSequence, tuple[int, ...]]:
-    """Replace uniformly chosen distinct positions by the given outliers.
+    """Replace uniformly chosen distinct positions by the rows of the
+    (k, m) ``outliers`` matrix.
 
-    Positions are sorted ascending and outlier j lands at the j-th chosen
-    position.  Returns the new sequence and the 1-based replaced indices.
+    Positions are sorted ascending and outlier row j lands at the j-th
+    chosen position.  Returns the new sequence and the 1-based replaced
+    indices.
     """
+    outliers = np.asarray(outliers, dtype=np.float64)
+    if outliers.ndim != 2 or outliers.shape[1] != seq.grid.node_count:
+        raise StructuralError(
+            f"outliers must be a (k, {seq.grid.node_count}) matrix, got shape {outliers.shape}"
+        )
     if len(outliers) > seq.n:
         raise StructuralError(
             f"cannot place {len(outliers)} outliers into a sequence of {seq.n}"
         )
-    if not outliers:
+    if not len(outliers):
         return seq, ()
     rng = np.random.default_rng(seed)
     positions = np.sort(rng.choice(seq.n, size=len(outliers), replace=False))
-    rows = np.vstack([f.values for f in outliers])
-    if rows.shape[1] != seq.grid.node_count:
-        raise StructuralError("outliers and sequence live on different grids")
     values = seq.values.copy()
-    values[positions] = rows
-    return (DistributionalSequence._from_checked(seq.grid, values),  # rows already valid
-            tuple(int(p) + 1 for p in positions))
+    values[positions] = outliers
+    return DistributionalSequence(seq.grid, values), tuple(int(p) + 1 for p in positions)
 
 
 def scalar_cusum_statistic(values: np.ndarray) -> float:
@@ -207,7 +209,6 @@ class ExperimentConfig:
     replicates: int = 50
     contamination_count: int = 0
     clean: bool = False
-    detector: str = ClrMedianDistanceDetector.name
     alpha: float = DEFAULT_ALPHA
     mc_samples: int = DEFAULT_MC_SAMPLES
     theta: float = DEFAULT_THETA
@@ -233,8 +234,6 @@ class ExperimentConfig:
             raise StructuralError("replicates must be >= 1")
         check_settings(self.alpha, self.mc_samples, self.theta, self.bridge_nodes,
                        self.centering)
-        if self.clean:
-            build_detector(self.detector)  # raises on an unknown name
 
 
 @dataclass(frozen=True)
@@ -335,8 +334,8 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
 
     try:
         if config.clean:
-            detector = build_detector(config.detector)
-            report, result = clean_and_detect(seq, detector, **detect_kwargs)
+            report, result = clean_and_detect(seq, ClrMedianDistanceDetector(),
+                                              **detect_kwargs)
             record(result, cleaned=report.removed_indices)
         else:
             record(detect(seq, **detect_kwargs))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bayes_cpd import (
     DensityFunction,
     DistributionalSequence,
-    NeverFlagDetector,
     beta_density,
     clean,
     clean_and_detect,
@@ -21,7 +20,6 @@ from bayes_cpd.cleaning import (
     CleaningReport,
     ClrMedianDistanceDetector,
     boxplot_keep_mask,
-    build_detector,
 )
 from bayes_cpd.errors import DegenerateInputError, StructuralError
 from bayes_cpd.seeds import derive_seed
@@ -123,9 +121,10 @@ class TestDistributionalOutlierDetector:
         ClrMedianDistanceDetector().flag(seq)
         np.testing.assert_array_equal(seq.values, before)
 
-    def test_unknown_detector_name(self):
+    @pytest.mark.parametrize("whisker", [0.0, -1.0, float("nan")])
+    def test_positive_whisker_required(self, whisker):
         with pytest.raises(StructuralError):
-            build_detector("mystery-box")
+            ClrMedianDistanceDetector(whisker)
 
 
 class _FixedDetector:
@@ -142,7 +141,7 @@ class _FixedDetector:
 class TestCleanAndDetect:
     def test_never_flagging_detector_is_noop(self, grid):
         seq = two_segment_sequence(grid, 8, 8)
-        report, cleaned = clean_and_detect(seq, NeverFlagDetector(),
+        report, cleaned = clean_and_detect(seq, _FixedDetector(()),
                                            mc_samples=200, seed=4)
         plain = detect(seq, mc_samples=200, seed=4)
         assert report.removed_indices == ()

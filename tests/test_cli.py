@@ -239,6 +239,23 @@ class TestIngestCommand:
         assert main(["ingest", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("support", ["5:1", "3:3"])
+    def test_empty_user_support_exit_two(self, tmp_path, capsys, support):
+        raw = _write_series(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["ingest", str(raw), "--timestamp-format", "epoch",
+                     "--support", support, "--out", str(out)]) == 2
+        assert "lower < upper" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constant_values_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        ts = np.arange(8 * 40) * (86400.0 / 40)
+        write_raw_series_csv(path, RawSeries(ts, np.full(ts.size, 2.5)))
+        assert main(["ingest", str(path), "--timestamp-format", "epoch",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert "all values equal" in capsys.readouterr().err
+
     def test_iso_timestamps_parsed(self, tmp_path):
         path = tmp_path / "iso.csv"
         rows = ["timestamp,value"]
@@ -367,6 +384,27 @@ class TestCleanCommand:
                      "--out", str(tmp_path / "r.json")]) == 3
         assert main(["clean", str(path), "--out", str(tmp_path / "c.csv"),
                      "--report", str(tmp_path / "rep.json")]) == 3
+
+    @pytest.mark.parametrize("whisker", ["0", "-1"])
+    def test_non_positive_whisker_exit_two_on_both_paths(self, sim_csv, tmp_path, capsys,
+                                                         whisker):
+        cleaned, rep, res = tmp_path / "c.csv", tmp_path / "rep.json", tmp_path / "r.json"
+        assert main(["clean", str(sim_csv), "--whisker", whisker, "--out", str(cleaned),
+                     "--report", str(rep)]) == 2
+        assert main(["detect", str(sim_csv), "--clean", "--whisker", whisker,
+                     "--mc-samples", "50", "--out", str(res),
+                     "--cleaning-report", str(rep)]) == 2
+        assert capsys.readouterr().err.count("whisker must be positive") == 2
+        assert not (cleaned.exists() or rep.exists() or res.exists())
+
+    def test_bad_setting_exit_two_before_cleaning(self, tmp_path, capsys):
+        # cleaning this file leaves 3 densities (exit 3); the setting is checked first
+        path = _write_one_outlier_of_four(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["detect", str(path), "--clean", "--theta", "2", "--mc-samples", "50",
+                     "--out", str(out)]) == 2
+        assert "theta must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_clean_writes_report_and_csv(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -20,7 +20,7 @@ from bayes_cpd import (
     integrate,
     zero_avoid,
 )
-from bayes_cpd.density import ClrFunction, beta_pdf_values
+from bayes_cpd.density import ClrFunction, beta_pdf_values, normalize_rows
 from bayes_cpd.errors import DomainError, NumericError, StructuralError
 
 from helpers import random_beta, random_density, uniform_density
@@ -322,3 +322,24 @@ def test_beta_density_endpoint_fill(grid):
     assert f.values[0] == f.values[1]
     assert f.values[-1] == f.values[-2]
     assert f.min_value() > 0
+
+
+class TestBetaRows:
+    def test_array_shapes_equal_stacked_scalar_calls(self, grid):
+        rng = np.random.default_rng(21)
+        a, b = rng.uniform(0.5, 40.0, (2, 25))
+        rows = beta_pdf_values(grid, a, b)
+        assert rows.shape == (25, grid.node_count)
+        stacked = np.vstack([beta_pdf_values(grid, ai, bi) for ai, bi in zip(a, b)])
+        assert rows.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan")])
+    def test_non_positive_shape_in_array_rejected(self, grid, bad):
+        with pytest.raises(DomainError):
+            beta_pdf_values(grid, np.array([3.0, bad, 4.0]), np.full(3, 5.0))
+
+    def test_normalized_rows_match_beta_density(self, grid):
+        a, b = np.array([2.5, 9.0, 30.0]), np.array([7.0, 9.0, 3.5])
+        rows = normalize_rows(grid, beta_pdf_values(grid, a, b))
+        for row, ai, bi in zip(rows, a, b):
+            assert row.tobytes() == beta_density(grid, ai, bi).values.tobytes()

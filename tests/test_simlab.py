@@ -20,7 +20,7 @@ from bayes_cpd import (
     run_experiment,
 )
 from bayes_cpd import simlab
-from bayes_cpd.errors import StructuralError
+from bayes_cpd.errors import DomainError, StructuralError
 from bayes_cpd.simlab import MODEL2_MEAN, scalar_cusum_statistic, summarize_records
 
 GEN_FNS = (gen_sim1, gen_model1, gen_model2, gen_model3)
@@ -105,25 +105,25 @@ class TestModel3:
 
 class TestOutlierGeneration:
     def test_zero_count_empty(self, grid):
-        assert gen_outliers(0, seed=1, grid=grid) == []
+        assert gen_outliers(0, seed=1, grid=grid).shape == (0, grid.node_count)
 
     def test_all_outputs_valid(self, grid):
-        for f in gen_outliers(30, seed=2, grid=grid):
-            assert f.min_value() >= 0.1
-            assert float(grid.weights @ f.values) == pytest.approx(1.0, abs=1e-6)
+        for row in gen_outliers(30, seed=2, grid=grid):
+            assert row.min() >= 0.1
+            assert float(grid.weights @ row) == pytest.approx(1.0, abs=1e-6)
 
     def test_bimodal_branch_has_two_interior_modes(self, grid):
         # classify branches by replaying the generator's draw order
         outliers = gen_outliers(40, seed=9, grid=grid)
         rng = np.random.default_rng(9)
         bimodal_seen = 0
-        for f in outliers:
+        for row in outliers:
             z = rng.uniform()
             if z > 0.7:
                 for _ in range(4):  # mu1, mu2, a1, a2
                     rng.uniform()
                 bimodal_seen += 1
-                assert interior_local_maxima(f.values) == 2
+                assert interior_local_maxima(row) == 2
             else:
                 for _ in range(5):  # y, a, b, c, d
                     rng.uniform()
@@ -133,7 +133,7 @@ class TestOutlierGeneration:
 class TestContaminate:
     def test_zero_outliers_identity(self, grid):
         seq = gen_model1(10, 5, seed=1, grid=grid)
-        out, truth = contaminate(seq, [], seed=2)
+        out, truth = contaminate(seq, gen_outliers(0, seed=1, grid=grid), seed=2)
         assert out is seq and truth == ()
 
     def test_replacement_bookkeeping(self, grid):
@@ -145,7 +145,7 @@ class TestContaminate:
         assert list(truth) == sorted(truth)
         for j, idx in enumerate(truth):
             np.testing.assert_array_equal(contaminated.densities[idx - 1].values,
-                                          outliers[j].values)
+                                          outliers[j])
         for idx in set(range(1, 31)) - set(truth):
             np.testing.assert_array_equal(contaminated.densities[idx - 1].values,
                                           seq.densities[idx - 1].values)
@@ -154,6 +154,19 @@ class TestContaminate:
         seq = gen_model1(10, 5, seed=1, grid=grid)
         with pytest.raises(StructuralError):
             contaminate(seq, gen_outliers(11, seed=2, grid=grid), seed=3)
+
+    def test_negative_outlier_row_rejected(self, grid):
+        seq = gen_model1(10, 5, seed=1, grid=grid)
+        outliers = gen_outliers(3, seed=2, grid=grid)
+        outliers[1, 7] = -0.5
+        with pytest.raises(DomainError):
+            contaminate(seq, outliers, seed=3)
+
+    @pytest.mark.parametrize("shape", [(2, 511), (2, 513), (512,)])
+    def test_wrong_outlier_width_rejected(self, grid, shape):
+        seq = gen_model1(10, 5, seed=1, grid=grid)
+        with pytest.raises(StructuralError):
+            contaminate(seq, np.ones(shape), seed=3)
 
 
 def test_scalar_cusum_matches_brute_force():
@@ -218,8 +231,7 @@ class TestRunExperiment:
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="nope")
 
-    @pytest.mark.parametrize("bad", [{"alpha": 1.5}, {"theta": 2.0}, {"mc_samples": 0},
-                                     {"clean": True, "detector": "bogus"}])
+    @pytest.mark.parametrize("bad", [{"alpha": 1.5}, {"theta": 2.0}, {"mc_samples": 0}])
     def test_invalid_settings_rejected_before_any_replicate(self, bad):
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="model1", **bad)
