@@ -28,7 +28,7 @@ def boxplot_keep_mask(samples: np.ndarray, whisker: float = DEFAULT_WHISKER) -> 
     than 4 samples: everything kept, with a warning.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if whisker <= 0:
+    if not whisker > 0:
         raise StructuralError(f"whisker must be positive, got {whisker}")
     if samples.size < 4:
         warnings.warn("fewer than 4 samples; boxplot filter is a pass-through")

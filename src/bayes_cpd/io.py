@@ -54,12 +54,20 @@ def _parse_float_row(row: list[str], line: int) -> np.ndarray:
         raise CsvFormatError(line, f"non-numeric cell ({exc})") from None
 
 
-def _checked_rows(grid: Grid, rows: list[np.ndarray]) -> np.ndarray:
+def _checked_rows(grid: Grid, rows: list[np.ndarray], lines: list[int]) -> np.ndarray:
     """Validated density matrix; a bad row raises with its file line."""
     try:
         return check_density_rows(grid, np.reshape(rows, (-1, grid.node_count)))
     except BayesCpdError as exc:
-        raise CsvFormatError(exc.row + 1, f"invalid {exc}") from None
+        raise CsvFormatError(lines[exc.row - 1], f"invalid {exc}") from None
+
+
+def _numbered_rows(fh):
+    """Yield each non-blank CSV record with the physical line it ends on."""
+    reader = csv.reader(fh)
+    for row in reader:
+        if row:
+            yield reader.line_num, row
 
 
 def read_density_csv(path) -> tuple[Grid, np.ndarray]:
@@ -68,20 +76,21 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
 
     Every problem raises :class:`CsvFormatError` with the line number of
     the first bad line, whether it fails to parse or fails validation.
+    Blank lines are skipped but still counted.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
+        rows = list(_numbered_rows(fh))
     if not rows:
         raise CsvFormatError(1, "need a grid row")
-    nodes = _parse_float_row(rows[0], 1)
+    grid_line, grid_row = rows[0]
+    nodes = _parse_float_row(grid_row, grid_line)
     if nodes.size < 16:
-        raise CsvFormatError(1, f"grid needs >= 16 nodes, got {nodes.size}")
+        raise CsvFormatError(grid_line, f"grid needs >= 16 nodes, got {nodes.size}")
     grid = Grid(nodes.size)
     if not np.allclose(nodes, grid.nodes, rtol=0.0, atol=_GRID_REL_TOL):
-        raise CsvFormatError(1, "grid row is not a uniform partition of [0, 1]")
-    parsed = []
-    for line, row in enumerate(rows[1:], start=2):
+        raise CsvFormatError(grid_line, "grid row is not a uniform partition of [0, 1]")
+    parsed, lines = [], []
+    for line, row in rows[1:]:
         try:
             values = _parse_float_row(row, line)
             if values.size != grid.node_count:
@@ -90,10 +99,11 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
                 )
         except CsvFormatError:
             if parsed:
-                _checked_rows(grid, parsed)  # an earlier invalid row comes first
+                _checked_rows(grid, parsed, lines)  # an earlier invalid row comes first
             raise
         parsed.append(values)
-    return grid, _checked_rows(grid, parsed)
+        lines.append(line)
+    return grid, _checked_rows(grid, parsed, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +125,20 @@ def _parse_timestamp(cell: str, timestamp_format: str, line: int) -> float:
 def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
     if timestamp_format not in TIMESTAMP_FORMATS:
         raise StructuralError(f"timestamp_format must be iso|epoch, got {timestamp_format!r}")
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
-    if not rows or [c.strip().lower() for c in rows[0]] != ["timestamp", "value"]:
-        raise CsvFormatError(1, 'expected header "timestamp,value"')
     timestamps, values = [], []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise CsvFormatError(line, f"expected 2 cells, got {len(row)}")
-        timestamps.append(_parse_timestamp(row[0], timestamp_format, line))
-        try:
-            values.append(float(row[1]))
-        except ValueError:
-            raise CsvFormatError(line, f"non-numeric value {row[1]!r}") from None
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = _numbered_rows(fh)
+        line, header = next(rows, (1, []))
+        if [c.strip().lower() for c in header] != ["timestamp", "value"]:
+            raise CsvFormatError(line, 'expected header "timestamp,value"')
+        for line, row in rows:
+            if len(row) != 2:
+                raise CsvFormatError(line, f"expected 2 cells, got {len(row)}")
+            timestamps.append(_parse_timestamp(row[0], timestamp_format, line))
+            try:
+                values.append(float(row[1]))
+            except ValueError:
+                raise CsvFormatError(line, f"non-numeric value {row[1]!r}") from None
     try:
         return RawSeries(np.array(timestamps), np.array(values))
     except StructuralError as exc:

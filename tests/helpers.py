@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from bayes_cpd import DensityFunction, DistributionalSequence, Grid, beta_density, zero_avoid
+from bayes_cpd.density import normalize_rows, zero_avoid_rows
 
 
 def uniform_density(grid: Grid) -> DensityFunction:
@@ -43,3 +44,21 @@ def two_segment_sequence(grid: Grid, n_pre: int, n_post: int,
     f = zero_avoid(beta_density(grid, *pre))
     g = zero_avoid(beta_density(grid, *post))
     return DistributionalSequence.from_densities((f,) * n_pre + (g,) * n_post)
+
+
+def exact_reflected_kde(values, grid: Grid, bandwidth: float) -> DensityFunction:
+    """Reference for ``kde``: the Gaussian kernel summed over every sample
+    and its mirror images across 0 and 1, evaluated at each grid node.
+
+    Costs O(nodes x samples x 3); samples go in blocks to bound memory.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    nodes = grid.nodes[:, None]
+    total = np.zeros(grid.node_count)
+    for start in range(0, values.size, 4096):
+        block = values[start:start + 4096][None, :]
+        for mirrored in (block, -block, 2.0 - block):
+            z = (nodes - mirrored) / bandwidth
+            total += np.exp(-0.5 * z * z).sum(axis=1)
+    total /= values.size * bandwidth * np.sqrt(2.0 * np.pi)
+    return DensityFunction(grid, zero_avoid_rows(normalize_rows(grid, total)))

@@ -248,6 +248,21 @@ class TestIngestCommand:
         assert "lower < upper" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--whisker", "nan", "whisker"),
+        ("--bandwidth", "nan", "bandwidth"),
+        ("--bandwidth", "inf", "bandwidth"),
+        ("--bandwidth", "1e-5", "bandwidth"),
+        ("--window-seconds", "nan", "window"),
+    ])
+    def test_nan_or_out_of_range_setting_exit_two(self, tmp_path, capsys, flag, value, named):
+        raw = _write_series(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["ingest", str(raw), "--timestamp-format", "epoch",
+                     flag, value, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_values_exit_three(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         ts = np.arange(8 * 40) * (86400.0 / 40)

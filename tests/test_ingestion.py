@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bayes_cpd import (
+    Grid,
     IngestConfig,
     RawSeries,
     build_sequence,
@@ -14,9 +15,18 @@ from bayes_cpd import (
     segment,
     silverman_bandwidth,
 )
-from bayes_cpd.ingestion import SupportEstimate, count_outside_support, denormalize
+from bayes_cpd.density import clr_rows
+from bayes_cpd.ingestion import (
+    KDE_BINS_PER_BANDWIDTH,
+    MIN_BANDWIDTH,
+    SupportEstimate,
+    count_outside_support,
+    denormalize,
+    kde_bin_count,
+)
 from bayes_cpd.errors import DegenerateInputError, StructuralError
 from bayes_cpd.seeds import derive_seed
+from helpers import exact_reflected_kde
 
 
 def hourly_series(days, values=None):
@@ -67,6 +77,34 @@ class TestSegment:
     def test_empty_series_rejected(self):
         with pytest.raises(StructuralError):
             RawSeries(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("window", [float("nan"), -float("inf")])
+    def test_nan_or_negative_infinite_window_rejected(self, window):
+        with pytest.raises(StructuralError, match="window"):
+            segment(hourly_series(2), window)
+
+    def test_contiguous_runs_match_mask_split(self):
+        # hourly windows holding 0 (gaps), a few, and min_count +- 1 samples,
+        # with repeated timestamps; one boolean mask per window is the oracle
+        rng = np.random.default_rng(23)
+        counts = [31, 0, 0, 5, 29, 30, 1, 0, 200, 2, 30, 0, 64]
+        t = np.concatenate([np.sort(rng.integers(0, 3600, c)) + 3600.0 * j
+                            for j, c in enumerate(counts)])
+        t = t - t[0]
+        series = RawSeries(t, rng.normal(size=t.size))
+        result = segment(series, 3600.0, min_count=30)
+        window_ids = np.floor(t / 3600.0).astype(np.int64)
+        kept, dropped = [], []
+        for j in range(int(window_ids[-1]) + 1):
+            values = series.values[window_ids == j]
+            if values.size >= 30:
+                kept.append((j, values))
+            else:
+                dropped.append((j, int(values.size)))
+        assert result.segment_indices == [j for j, _ in kept]
+        for got, (_, want) in zip(result.segments, kept, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert result.dropped == dropped
 
 
 class TestSupport:
@@ -146,6 +184,48 @@ class TestKde:
     def test_samples_outside_unit_interval_rejected(self, grid):
         with pytest.raises(StructuralError):
             kde(np.array([0.2, 1.4]), grid)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), -float("inf"),
+                                           0.0, -0.1, 1e-5, MIN_BANDWIDTH / 2])
+    def test_non_finite_or_sub_floor_bandwidth_rejected(self, grid, bandwidth):
+        with pytest.raises(StructuralError, match="bandwidth"):
+            kde(np.array([0.2, 0.4, 0.6]), grid, bandwidth)
+
+    @pytest.mark.parametrize("nodes", [16, 64, 512, 2048, 8193])
+    def test_lattice_size_bounded_at_min_bandwidth(self, nodes):
+        refine, bins = kde_bin_count(Grid(nodes), MIN_BANDWIDTH)
+        assert bins == (nodes - 1) * refine + 1  # every grid node is a bin
+        assert (bins - 1) * MIN_BANDWIDTH >= KDE_BINS_PER_BANDWIDTH
+        assert bins <= nodes + KDE_BINS_PER_BANDWIDTH / MIN_BANDWIDTH
+
+    def test_bandwidth_far_below_spacing_still_reaches_a_node(self):
+        # on 16 nodes, 1e-3 is 1/67 of the spacing: samples midway between
+        # two nodes are 33 bandwidths from both, and land on both equally
+        grid = Grid(16)
+        samples = np.full(100, 7.5 / 15)
+        binned = kde(samples, grid, MIN_BANDWIDTH).values
+        exact = exact_reflected_kde(samples, grid, MIN_BANDWIDTH).values
+        np.testing.assert_allclose(binned, exact, rtol=1e-9)
+
+    @pytest.mark.parametrize("bandwidth", [MIN_BANDWIDTH, None, 0.3],
+                             ids=["min", "silverman", "0.3"])
+    @pytest.mark.parametrize("nodes", [64, 512, 2048])
+    def test_binned_estimate_matches_exact_sum(self, nodes, bandwidth):
+        # 20,000 samples of a bimodal day, mapped into the support margin.
+        # Binning error grows as fewer samples fall within a bandwidth: at
+        # MIN_BANDWIDTH it is at most 6.3e-4 here, about 4e-3 for 50 samples.
+        rng = np.random.default_rng(2024)
+        n = 20_000
+        pick = rng.uniform(size=n) < 0.5
+        x = np.where(pick, rng.beta(30, 18, n), rng.beta(3, 5, n))
+        samples = 0.05 + 0.9 * x
+        grid = Grid(nodes)
+        h = silverman_bandwidth(samples) if bandwidth is None else bandwidth
+        binned = kde(samples, grid, h).values
+        exact = exact_reflected_kde(samples, grid, h).values
+        assert np.abs(binned - exact).max() <= 1e-3 * exact.max()
+        diff = clr_rows(grid, binned[None, :]) - clr_rows(grid, exact[None, :])
+        assert np.sqrt((diff * diff) @ grid.weights)[0] <= 1e-3
 
 
 def synth_series(seed, n_days, switch_day, per_day=240, lo=2.0, hi=4.0):

@@ -10,6 +10,7 @@ from bayes_cpd.io import (
     dump_json,
     experiment_report_to_dict,
     read_density_csv,
+    read_raw_series_csv,
     write_density_csv,
 )
 from bayes_cpd.simlab import ExperimentReport, ReplicateRecord, summarize_records
@@ -71,3 +72,23 @@ def test_first_bad_line_wins_over_a_later_parse_error(tmp_path):
     with pytest.raises(CsvFormatError, match="line 4") as info:
         read_density_csv(path)
     assert info.value.line == 4
+
+
+@pytest.mark.parametrize("bad, problem", [("-", "invalid"), ("x", "non-numeric")],
+                         ids=["invalid-row", "parse-error"])
+def test_density_lines_counted_through_blank_lines(tmp_path, bad, problem):
+    grid = Grid(32)
+    good = ",".join(repr(float(v)) for v in zero_avoid(beta_density(grid, 4, 4)).values)
+    header = ",".join(repr(float(x)) for x in grid.nodes)
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(["", header, "", good, "", bad + good, good]) + "\n")
+    with pytest.raises(CsvFormatError, match=problem) as info:
+        read_density_csv(path)
+    assert info.value.line == 6
+
+
+def test_raw_series_lines_counted_through_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("timestamp,value\n\n1,2\nx,3\n")
+    with pytest.raises(CsvFormatError, match="line 4"):
+        read_raw_series_csv(path, "epoch")
