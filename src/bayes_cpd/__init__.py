@@ -7,7 +7,6 @@ from .density import (
     b_add,
     b_dist,
     b_inner,
-    b_mean,
     b_norm,
     b_smul,
     beta_density,
@@ -18,16 +17,12 @@ from .density import (
     zero_avoid,
 )
 from .engine import (
-    CovarianceEigen,
     CusumProfile,
     DetectionResult,
     DistributionalSequence,
-    clr_cusum,
-    covariance_eigen,
     cusum_profile,
     detect,
     p_value,
-    residuals,
     simulate_limit_samples,
 )
 from .cleaning import (
@@ -36,7 +31,6 @@ from .cleaning import (
     clean,
     clean_and_detect,
     detect_distributional_outliers,
-    scalar_boxplot_filter,
 )
 from .ingestion import (
     IngestConfig,
@@ -64,4 +58,20 @@ from .simlab import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # densities and their Bayes-space algebra
+    "Grid", "DensityFunction", "ClrFunction", "integrate", "beta_density", "zero_avoid",
+    "clr", "clr_inv", "b_add", "b_smul", "b_inner", "b_norm", "b_dist", "first_moment",
+    # detection
+    "DistributionalSequence", "CusumProfile", "DetectionResult", "cusum_profile", "detect",
+    "simulate_limit_samples", "p_value",
+    # cleaning
+    "ClrMedianDistanceDetector", "CleaningReport", "detect_distributional_outliers",
+    "clean", "clean_and_detect",
+    # ingestion
+    "RawSeries", "SupportEstimate", "IngestConfig", "IngestionReport", "estimate_support",
+    "normalize", "segment", "silverman_bandwidth", "kde", "build_sequence",
+    # simulation studies
+    "gen_sim1", "gen_model1", "gen_model2", "gen_model3", "gen_outliers", "contaminate",
+    "ExperimentConfig", "ExperimentReport", "run_experiment",
+]

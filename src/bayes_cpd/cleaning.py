@@ -39,12 +39,6 @@ def boxplot_keep_mask(samples: np.ndarray, whisker: float = DEFAULT_WHISKER) -> 
     return (samples >= lo) & (samples <= hi)
 
 
-def scalar_boxplot_filter(samples, whisker: float = DEFAULT_WHISKER) -> np.ndarray:
-    """Samples with boxplot outliers removed (order preserved)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    return samples[boxplot_keep_mask(samples, whisker)]
-
-
 class OutlierDetector(Protocol):
     """A detector sees only the sequence and returns 1-based flagged indices."""
 

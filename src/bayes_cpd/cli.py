@@ -55,6 +55,16 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
+def _bandwidth(text: str) -> float | None:
+    """``--bandwidth``: None for ``auto`` (Silverman per window), else a number."""
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
 def _add_detection_options(p: argparse.ArgumentParser) -> None:
     """The detector settings ``detect`` and ``experiment`` share."""
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
@@ -179,7 +189,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     config = IngestConfig(
         window_seconds=args.window_seconds, whisker=args.whisker,
         margin_fraction=args.margin, grid_nodes=args.grid_nodes,
-        bandwidth=None if args.bandwidth == "auto" else float(args.bandwidth),
+        bandwidth=args.bandwidth,
         min_count=args.min_count, support=support,
         threads=resolve_threads(args.threads),
     )
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="support margin fraction")
     p.add_argument("--grid-nodes", type=int, default=IngestConfig.grid_nodes,
                    help="density grid nodes")
-    p.add_argument("--bandwidth", default="auto",
+    p.add_argument("--bandwidth", type=_bandwidth, default="auto",
                    help="KDE bandwidth, a number or 'auto' (Silverman)")
     p.add_argument("--min-count", type=int, default=IngestConfig.min_count,
                    help="minimum samples per retained segment")

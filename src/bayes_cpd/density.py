@@ -233,23 +233,6 @@ def clr_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def b_mean(densities) -> DensityFunction:
-    """Bayes-space sample mean of densities sharing one grid.
-
-    Evaluated in the clr domain (arithmetic mean of clr values, inverse
-    clr) so long perturbation chains cannot underflow.
-    """
-    densities = list(densities)
-    if not densities:
-        raise StructuralError("cannot average an empty sequence of densities")
-    grid = densities[0].grid
-    for f in densities[1:]:
-        _require_same_grid(densities[0], f)
-    mean_clr = np.vstack([clr(f).values for f in densities]).mean(axis=0)
-    centered = mean_clr - float(grid.weights @ mean_clr)
-    return clr_inv(ClrFunction(grid, centered))
-
-
 def b_inner(f: DensityFunction, g: DensityFunction) -> float:
     """Bayes-space inner product, via the clr isometry: integral of clr f * clr g."""
     _require_same_grid(f, g)

@@ -117,9 +117,6 @@ class DistributionalSequence:
             object.__setattr__(self, "_clr", clr_rows(self.grid, self.values))
         return self._clr
 
-    def reversed(self) -> "DistributionalSequence":
-        return DistributionalSequence(self.grid, self.values[::-1])
-
     def subsequence(self, positions: Sequence[int]) -> "DistributionalSequence":
         """Sub-sequence at the given 1-based positions (order preserved)."""
         rows = np.asarray(positions, dtype=np.intp) - 1
@@ -146,23 +143,15 @@ class CusumProfile:
 
 @dataclass(frozen=True)
 class CovarianceEigen:
-    """Eigendecomposition of the residual covariance operator on the grid.
+    """Spectrum of the residual covariance operator on the grid.
 
     ``eigenvalues`` is the full clipped spectrum, descending.
-    ``eigenfunctions`` holds one grid function per column, orthonormal in
-    the trapezoid-weighted inner product.  ``truncation`` is the smallest
-    leading count whose cumulative eigenvalue share reaches ``theta``.
+    ``truncation`` is the smallest leading count whose cumulative
+    eigenvalue share reaches ``theta``.
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
     truncation: int
-    theta: float
-    degenerate: bool
-
-    @property
-    def L(self) -> int:
-        return self.truncation
 
     def retained(self) -> np.ndarray:
         return self.eigenvalues[: self.truncation]
@@ -208,13 +197,6 @@ def _profile_from_matrix(mat: np.ndarray, weights: np.ndarray) -> CusumProfile:
     return CusumProfile(norms_sq=norms_sq, argmax_k=argmax_k, degenerate=degenerate)
 
 
-def clr_cusum(seq: DistributionalSequence, k: int) -> ClrFunction:
-    """clr-domain CUSUM at split k: (prefix sum - (k/n) total sum) / sqrt(n)."""
-    if not 1 <= k <= seq.n:
-        raise StructuralError(f"split index k={k} outside 1..{seq.n}")
-    return ClrFunction(seq.grid, _cusum_matrix(seq.clr_matrix())[k - 1])
-
-
 def _method_matrix(seq: DistributionalSequence, method: str) -> np.ndarray:
     """The embedding a checked method tests: clr rows or raw density values."""
     return seq.clr_matrix() if method == METHOD_BAYES else seq.values
@@ -239,66 +221,26 @@ def _residual_matrix(mat: np.ndarray, centering: str, k_hat: int | None) -> np.n
     return out
 
 
-def residuals(
-    seq: DistributionalSequence,
-    centering: str = CENTERING_GLOBAL,
-    k_hat: int | None = None,
-) -> list[ClrFunction]:
-    """clr residuals after removing the global or per-segment clr mean."""
-    check_settings(centering=centering)
-    mat = _residual_matrix(seq.clr_matrix(), centering, k_hat)
-    return [ClrFunction(seq.grid, row) for row in mat]
-
-
 def _covariance_eigen_from_matrix(
     res: np.ndarray, weights: np.ndarray, theta: float
 ) -> CovarianceEigen:
-    n, m = res.shape
-    cov = (res.T @ res) / n
+    """Clipped spectrum of the covariance operator of residual rows ``res``.
+
+    The integral operator with kernel C(t, s) = (1/n) sum_i e_i(t) e_i(s)
+    is discretized with trapezoid weights W and solved as the symmetric
+    problem W^(1/2) C W^(1/2).
+    """
+    cov = (res.T @ res) / res.shape[0]
     sqrt_w = np.sqrt(weights)
-    sym = cov * np.outer(sqrt_w, sqrt_w)
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals = np.linalg.eigh(cov * np.outer(sqrt_w, sqrt_w))[0][::-1]
     leading = float(evals[0]) if evals.size else 0.0
     if leading <= 0.0:
-        return CovarianceEigen(
-            eigenvalues=np.zeros_like(evals),
-            eigenfunctions=evecs / sqrt_w[:, None],
-            truncation=0,
-            theta=theta,
-            degenerate=True,
-        )
+        return CovarianceEigen(eigenvalues=np.zeros_like(evals), truncation=0)
     clipped = np.where(evals < EIGENVALUE_CLIP_RATIO * leading, 0.0, evals)
     cumulative = np.cumsum(clipped) / clipped.sum()
     truncation = int(np.searchsorted(cumulative, theta)) + 1
     truncation = min(truncation, int(np.count_nonzero(clipped)))
-    return CovarianceEigen(
-        eigenvalues=clipped,
-        eigenfunctions=evecs / sqrt_w[:, None],
-        truncation=truncation,
-        theta=theta,
-        degenerate=False,
-    )
-
-
-def covariance_eigen(
-    residual_functions: Sequence[ClrFunction], theta: float = DEFAULT_THETA
-) -> CovarianceEigen:
-    """Eigenpairs of the empirical covariance operator of clr residuals.
-
-    The integral operator with kernel C(t, s) = (1/n) sum_i e_i(t) e_i(s)
-    is discretized with trapezoid weights W and solved as the symmetric
-    problem W^(1/2) C W^(1/2); eigenfunctions are mapped back by W^(-1/2)
-    so they are orthonormal under the weighted inner product.
-    """
-    if len(residual_functions) < 2:
-        raise StructuralError("need at least 2 residuals for a covariance")
-    check_settings(theta=theta)
-    grid = residual_functions[0].grid
-    mat = np.vstack([r.values for r in residual_functions])
-    return _covariance_eigen_from_matrix(mat, grid.weights, theta)
+    return CovarianceEigen(eigenvalues=clipped, truncation=truncation)
 
 
 def _simulate_chunk(

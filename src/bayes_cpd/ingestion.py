@@ -33,7 +33,11 @@ KDE_KERNEL_RADIUS = 9.0
 
 @dataclass(frozen=True)
 class RawSeries:
-    """Scalar feature samples at non-decreasing timestamps (epoch seconds)."""
+    """Scalar feature samples at non-decreasing timestamps (epoch seconds).
+
+    A bad sample raises :class:`StructuralError` whose ``sample`` is the
+    1-based index of the first one.
+    """
 
     timestamps: np.ndarray
     values: np.ndarray
@@ -45,10 +49,13 @@ class RawSeries:
             raise StructuralError("timestamps and values must be equal-length 1-d")
         if t.size == 0:
             raise StructuralError("empty series")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise StructuralError("non-finite timestamp or value")
-        if np.any(np.diff(t) < 0):
-            raise StructuralError("timestamps must be non-decreasing")
+        bad, problem = ~(np.isfinite(t) & np.isfinite(v)), "non-finite timestamp or value"
+        if not bad.any():
+            bad, problem = np.diff(t, prepend=t[0]) < 0, "timestamps must be non-decreasing"
+        if bad.any():
+            exc = StructuralError(problem)
+            exc.sample = int(np.argmax(bad)) + 1
+            raise exc
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
 
@@ -95,12 +102,6 @@ def normalize(values, support: SupportEstimate) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     unit = (values - support.lower) / (support.upper - support.lower)
     return np.clip(unit, 0.0, 1.0)
-
-
-def denormalize(unit_values, support: SupportEstimate) -> np.ndarray:
-    """Inverse of :func:`normalize` on in-range values."""
-    unit_values = np.asarray(unit_values, dtype=np.float64)
-    return support.lower + unit_values * (support.upper - support.lower)
 
 
 def count_outside_support(values, support: SupportEstimate) -> int:

@@ -142,7 +142,20 @@ def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
     try:
         return RawSeries(np.array(timestamps), np.array(values))
     except StructuralError as exc:
-        raise CsvFormatError(2, str(exc)) from None
+        raise CsvFormatError(_record_line(path, getattr(exc, "sample", 1)), str(exc)) from None
+
+
+def _record_line(path, record: int) -> int:
+    """Physical line of 1-based data record ``record`` of a raw series CSV,
+    or the line after the last record if the file holds fewer.
+
+    Read again on the error path only, so parsing keeps no per-row lines.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        for i, (line, _) in enumerate(_numbered_rows(fh)):
+            if i == record:
+                return line
+    return line + 1
 
 
 def write_raw_series_csv(path, series: RawSeries) -> None:

@@ -176,21 +176,6 @@ def contaminate(
     return DistributionalSequence(seq.grid, values), tuple(int(p) + 1 for p in positions)
 
 
-def scalar_cusum_statistic(values: np.ndarray) -> float:
-    """Max absolute CUSUM of a scalar series, on the same 1/sqrt(n) scale.
-
-    Utility for contrasting density-level detection with what a plain
-    scalar-mean tracker sees (e.g. per-density first moments).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    if n < 2:
-        raise StructuralError("scalar CUSUM needs at least 2 values")
-    prefix = np.cumsum(values)
-    frac = np.arange(1, n + 1) / n
-    return float(np.abs((prefix - frac * prefix[-1]) / np.sqrt(n)).max())
-
-
 _GENERATOR_FNS: dict[str, Callable[..., DistributionalSequence]] = {
     "sim1": gen_sim1,
     "model1": gen_model1,

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from bayes_cpd import DensityFunction, DistributionalSequence, Grid, beta_density, zero_avoid
+from bayes_cpd import (
+    ClrFunction,
+    DensityFunction,
+    DistributionalSequence,
+    Grid,
+    beta_density,
+    clr,
+    clr_inv,
+    zero_avoid,
+)
 from bayes_cpd.density import normalize_rows, zero_avoid_rows
+from bayes_cpd.errors import StructuralError
 
 
 def uniform_density(grid: Grid) -> DensityFunction:
@@ -62,3 +72,23 @@ def exact_reflected_kde(values, grid: Grid, bandwidth: float) -> DensityFunction
             total += np.exp(-0.5 * z * z).sum(axis=1)
     total /= values.size * bandwidth * np.sqrt(2.0 * np.pi)
     return DensityFunction(grid, zero_avoid_rows(normalize_rows(grid, total)))
+
+
+def b_mean(densities) -> DensityFunction:
+    """Bayes-space sample mean, evaluated in the clr domain (inverse clr of
+    the mean clr row) so long perturbation chains cannot underflow."""
+    densities = list(densities)
+    if not densities:
+        raise StructuralError("cannot average an empty sequence of densities")
+    grid = densities[0].grid
+    mean_clr = np.vstack([clr(f).values for f in densities]).mean(axis=0)
+    return clr_inv(ClrFunction(grid, mean_clr - float(grid.weights @ mean_clr)))
+
+
+def scalar_cusum_statistic(values) -> float:
+    """Max absolute CUSUM of a scalar series on the 1/sqrt(n) scale: what a
+    plain scalar-mean tracker (e.g. of first moments) sees."""
+    values = np.asarray(values, dtype=np.float64)
+    prefix = np.cumsum(values)
+    frac = np.arange(1, values.size + 1) / values.size
+    return float(np.abs((prefix - frac * prefix[-1]) / np.sqrt(values.size)).max())

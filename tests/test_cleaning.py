@@ -13,7 +13,6 @@ from bayes_cpd import (
     clean_and_detect,
     detect,
     detect_distributional_outliers,
-    scalar_boxplot_filter,
     zero_avoid,
 )
 from bayes_cpd.cleaning import (
@@ -35,6 +34,11 @@ def quartile_oracle(samples, p):
     lo = int(np.floor(h))
     gamma = h - lo
     return (1 - gamma) * x[lo] + gamma * x[min(lo + 1, x.size - 1)]
+
+
+def scalar_boxplot_filter(samples, whisker=1.5):
+    samples = np.asarray(samples, dtype=np.float64)
+    return samples[boxplot_keep_mask(samples, whisker)]
 
 
 class TestScalarBoxplotFilter:

@@ -263,6 +263,25 @@ class TestIngestCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_numeric_bandwidth_exit_two(self, tmp_path, capsys, via):
+        raw = _write_series(tmp_path)
+        out = tmp_path / "x.csv"
+        if via == "flag":
+            extra = ["--bandwidth", "abc"]
+        else:
+            cfg = tmp_path / "ingest.cfg"
+            cfg.write_text("bandwidth = abc\n")
+            extra = ["--config", str(cfg)]
+        assert main(["ingest", str(raw), "--timestamp-format", "epoch", *extra,
+                     "--out", str(out)]) == 2
+        assert "--bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bandwidth_help_shows_auto_default(self, capsys):
+        assert main(["ingest", "--help"]) == 0
+        assert "(default: auto)" in " ".join(capsys.readouterr().out.split())
+
     def test_constant_values_exit_three(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         ts = np.arange(8 * 40) * (86400.0 / 40)

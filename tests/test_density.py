@@ -11,7 +11,6 @@ from bayes_cpd import (
     b_add,
     b_dist,
     b_inner,
-    b_mean,
     b_smul,
     beta_density,
     clr,
@@ -23,7 +22,7 @@ from bayes_cpd import (
 from bayes_cpd.density import ClrFunction, beta_pdf_values, normalize_rows
 from bayes_cpd.errors import DomainError, NumericError, StructuralError
 
-from helpers import random_beta, random_density, uniform_density
+from helpers import b_mean, random_beta, random_density, uniform_density
 
 shape_params = st.floats(min_value=1.5, max_value=40.0)
 scalars = st.floats(min_value=-3.0, max_value=3.0)

@@ -8,20 +8,17 @@ from bayes_cpd import (
     DistributionalSequence,
     Grid,
     b_add,
+    b_inner,
     b_smul,
     beta_density,
     clr,
-    clr_cusum,
-    covariance_eigen,
     cusum_profile,
     detect,
     p_value,
-    residuals,
     simulate_limit_samples,
     zero_avoid,
 )
-from bayes_cpd.density import ClrFunction
-from bayes_cpd.engine import mean_increment
+from bayes_cpd.engine import _covariance_eigen_from_matrix, _residual_matrix, mean_increment
 from bayes_cpd.errors import DegenerateInputError, DomainError, NumericError, StructuralError
 from bayes_cpd.simlab import gen_model1, gen_sim1
 
@@ -42,28 +39,25 @@ def bayes_cusum_oracle(seq, k):
 
 
 class TestClrCusum:
+    """The profile's squared norms are those of the Bayes-domain CUSUM."""
+
     def test_constant_sequence_vanishes(self, grid):
-        seq = constant_sequence(grid, 8)
+        profile = cusum_profile(constant_sequence(grid, 8))
         for k in (1, 3, 8):
-            assert np.abs(clr_cusum(seq, k).values).max() < 1e-12
+            assert profile.norm_sq_at(k) < 1e-24
 
     def test_k_equals_n_is_zero(self, grid):
         rng = np.random.default_rng(20)
         seq = random_sequence(grid, rng, 6)
-        assert np.abs(clr_cusum(seq, 6).values).max() == 0.0
+        assert cusum_profile(seq).norm_sq_at(6) == 0.0
 
     def test_matches_bayes_domain_chain(self, grid):
         rng = np.random.default_rng(21)
         seq = random_sequence(grid, rng, 10)
-        oracle = clr(bayes_cusum_oracle(seq, 4))
-        assert np.abs(clr_cusum(seq, 4).values - oracle.values).max() < 1e-9
-
-    def test_split_out_of_range(self, grid):
-        seq = constant_sequence(grid, 5)
-        with pytest.raises(StructuralError):
-            clr_cusum(seq, 0)
-        with pytest.raises(StructuralError):
-            clr_cusum(seq, 6)
+        profile = cusum_profile(seq)
+        for k in (1, 4, 9):
+            oracle = bayes_cusum_oracle(seq, k)
+            assert profile.norm_sq_at(k) == pytest.approx(b_inner(oracle, oracle), rel=1e-9)
 
 
 def brute_force_profile(seq):
@@ -89,7 +83,7 @@ class TestCusumProfile:
         rng = np.random.default_rng(22)
         seq = random_sequence(grid, rng, 9)
         fwd = cusum_profile(seq).norms_sq
-        rev = cusum_profile(seq.reversed()).norms_sq
+        rev = cusum_profile(DistributionalSequence(grid, seq.values[::-1])).norms_sq
         n = seq.n
         for k in range(1, n):
             assert abs(rev[k - 1] - fwd[n - k - 1]) < 1e-12
@@ -162,74 +156,66 @@ class TestTestStatistic:
 
 class TestResiduals:
     def test_constant_global_all_zero(self, grid):
-        for r in residuals(constant_sequence(grid, 6)):
-            assert np.abs(r.values).max() < 1e-12
+        res = _residual_matrix(constant_sequence(grid, 6).clr_matrix(), "global", None)
+        assert np.abs(res).max() < 1e-12
 
     def test_global_residuals_sum_to_zero(self, grid):
         rng = np.random.default_rng(25)
         seq = random_sequence(grid, rng, 9)
-        total = np.sum([r.values for r in residuals(seq)], axis=0)
+        total = _residual_matrix(seq.clr_matrix(), "global", None).sum(axis=0)
         assert np.abs(total).max() < 1e-10
 
     def test_segmented_exact_on_two_segment_constant(self, grid):
         seq = two_segment_sequence(grid, 5, 5)
-        for r in residuals(seq, centering="segmented", k_hat=5):
-            assert np.abs(r.values).max() < 1e-12
+        res = _residual_matrix(seq.clr_matrix(), "segmented", 5)
+        assert np.abs(res).max() < 1e-12
 
     def test_segmented_requires_interior_split(self, grid):
         seq = two_segment_sequence(grid, 3, 3)
         with pytest.raises(DegenerateInputError):
-            residuals(seq, centering="segmented", k_hat=6)
+            _residual_matrix(seq.clr_matrix(), "segmented", 6)
 
 
 class TestCovarianceEigen:
     def _random_residuals(self, grid, rng, n):
         seq = random_sequence(grid, rng, n)
-        return residuals(seq)
+        return _residual_matrix(seq.clr_matrix(), "global", None)
+
+    def _eigen(self, grid, res, theta=0.95):
+        return _covariance_eigen_from_matrix(res, grid.weights, theta)
 
     def test_zero_residuals_degenerate(self, grid):
-        zeros = [ClrFunction(grid, np.zeros(grid.node_count)) for _ in range(5)]
-        eig = covariance_eigen(zeros)
-        assert eig.degenerate and eig.L == 0
+        eig = self._eigen(grid, np.zeros((5, grid.node_count)))
+        assert eig.truncation == 0 and eig.retained().size == 0
         assert np.all(eig.eigenvalues == 0.0)
 
     def test_rank_bounded_by_sample_size(self, grid):
         rng = np.random.default_rng(26)
-        eig = covariance_eigen(self._random_residuals(grid, rng, 10))
+        eig = self._eigen(grid, self._random_residuals(grid, rng, 10))
         assert np.count_nonzero(eig.eigenvalues > 1e-12 * eig.eigenvalues[0]) <= 10
 
     def test_trace_identity(self, grid):
         rng = np.random.default_rng(27)
-        res = self._random_residuals(grid, rng, 8)
-        eig = covariance_eigen(res)
-        mat = np.vstack([r.values for r in res])
+        mat = self._random_residuals(grid, rng, 8)
+        eig = self._eigen(grid, mat)
         diag = np.einsum("ij,ij->j", mat, mat) / mat.shape[0]
         assert eig.eigenvalues.sum() == pytest.approx(float(grid.weights @ diag), rel=1e-6)
 
-    def test_eigenfunctions_weighted_orthonormal(self, grid):
-        rng = np.random.default_rng(28)
-        eig = covariance_eigen(self._random_residuals(grid, rng, 6))
-        phi = eig.eigenfunctions[:, :6]
-        gram = phi.T @ (grid.weights[:, None] * phi)
-        np.testing.assert_allclose(gram, np.eye(6), atol=1e-6)
-
     def test_descending_and_clipped_nonnegative(self, grid):
         rng = np.random.default_rng(29)
-        eig = covariance_eigen(self._random_residuals(grid, rng, 7))
+        eig = self._eigen(grid, self._random_residuals(grid, rng, 7))
         assert np.all(np.diff(eig.eigenvalues) <= 1e-10)
         assert np.all(eig.eigenvalues >= 0.0)
 
     def test_truncation_is_minimal(self, grid):
         rng = np.random.default_rng(30)
-        eig = covariance_eigen(self._random_residuals(grid, rng, 12), theta=0.95)
+        eig = self._eigen(grid, self._random_residuals(grid, rng, 12), theta=0.95)
         share = np.cumsum(eig.eigenvalues) / eig.eigenvalues.sum()
-        assert share[eig.L - 1] >= 0.95
-        if eig.L > 1:
-            assert share[eig.L - 2] < 0.95
-
-    def test_needs_two_residuals(self, grid):
-        with pytest.raises(StructuralError):
-            covariance_eigen([ClrFunction(grid, np.zeros(grid.node_count))])
+        L = eig.truncation
+        assert share[L - 1] >= 0.95
+        if L > 1:
+            assert share[L - 2] < 0.95
+        np.testing.assert_array_equal(eig.retained(), eig.eigenvalues[:L])
 
 
 def kolmogorov_quantile(p):
@@ -430,7 +416,7 @@ class TestSequenceType:
         seq = random_sequence(grid, rng, 7)
         sub = seq.subsequence((2, 5, 6, 7))
         np.testing.assert_array_equal(sub.values, seq.values[[1, 4, 5, 6]])
-        rev = seq.reversed()
+        rev = DistributionalSequence(grid, seq.values[::-1])
         np.testing.assert_array_equal(rev.values, seq.values[::-1])
         assert not sub.values.flags.writeable and not rev.values.flags.writeable
         for bad in ((0, 1, 2, 3), (1, 2, 3, 8)):

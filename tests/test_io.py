@@ -92,3 +92,23 @@ def test_raw_series_lines_counted_through_blank_lines(tmp_path):
     path.write_text("timestamp,value\n\n1,2\nx,3\n")
     with pytest.raises(CsvFormatError, match="line 4"):
         read_raw_series_csv(path, "epoch")
+
+
+@pytest.mark.parametrize("body, line", [
+    ("1,2\n2,3\n3,4\n4,nan\n5,6\n", 5),
+    ("1,2\n2,3\n3,4\n2.5,4\n5,6\n", 5),
+    ("1,2\n2,3\n3,4\n\n2.5,4\n5,6\n", 6),
+], ids=["nan-value", "backwards-timestamp", "blank-line-before"])
+def test_bad_raw_sample_carries_its_line_number(tmp_path, body, line):
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp,value\n" + body)
+    with pytest.raises(CsvFormatError, match=f"line {line}:") as info:
+        read_raw_series_csv(path, "epoch")
+    assert info.value.line == line
+
+
+def test_empty_raw_series_reported_after_header(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("\ntimestamp,value\n")
+    with pytest.raises(CsvFormatError, match="line 3: empty series"):
+        read_raw_series_csv(path, "epoch")

@@ -8,7 +8,6 @@ import pytest
 from bayes_cpd import (
     ExperimentConfig,
     b_dist,
-    b_mean,
     contaminate,
     detect,
     first_moment,
@@ -21,7 +20,9 @@ from bayes_cpd import (
 )
 from bayes_cpd import simlab
 from bayes_cpd.errors import DomainError, StructuralError
-from bayes_cpd.simlab import MODEL2_MEAN, scalar_cusum_statistic, summarize_records
+from bayes_cpd.simlab import MODEL2_MEAN, summarize_records
+
+from helpers import b_mean, scalar_cusum_statistic
 
 GEN_FNS = (gen_sim1, gen_model1, gen_model2, gen_model3)
 
