@@ -32,8 +32,8 @@ from .engine import (
 )
 from .errors import BayesCpdError, DegenerateInputError, StructuralError
 from .ingestion import IngestConfig, build_sequence
-from .simlab import GENERATORS, ExperimentConfig, _GENERATOR_FNS, contaminate, gen_outliers, run_experiment
-from .seeds import derive_seed, resolve_threads
+from .simlab import GENERATORS, ExperimentConfig, replicate_sequence, run_experiment
+from .seeds import resolve_threads
 
 EXIT_REJECT = 0
 EXIT_NO_REJECT = 1
@@ -159,12 +159,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is None:
         raise StructuralError("simulate needs --out")
     grid = Grid(args.grid_nodes)
-    generate = _GENERATOR_FNS[args.generator]
-    seq = generate(args.n, args.kstar, derive_seed(args.seed, 0), grid)
-    contaminated: tuple[int, ...] = ()
-    if args.contaminate > 0:
-        outliers = gen_outliers(args.contaminate, derive_seed(args.seed, 3), grid)
-        seq, contaminated = contaminate(seq, outliers, derive_seed(args.seed, 2))
+    seq, contaminated = replicate_sequence(args.generator, args.n, args.kstar,
+                                           args.contaminate, args.seed, grid)
     bio.write_density_csv(args.out, grid, seq.values)
     bio.dump_json(
         bio.simulate_sidecar_to_dict(args.kstar, contaminated, args.seed),

@@ -14,8 +14,9 @@ accumulate across chained calls.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import betaln
 
 from .errors import DomainError, NumericError, StructuralError
 
@@ -256,6 +257,14 @@ def first_moment(f: DensityFunction) -> float:
     return float(f.grid.weights @ (f.grid.nodes * f.values))
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
+def _log_beta(a, b) -> np.ndarray:
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b), elementwise."""
+    return _lgamma(a) + _lgamma(b) - _lgamma(a + b)
+
+
 def beta_pdf_values(grid: Grid, a, b) -> np.ndarray:
     """Raw Beta(a, b) density values on the grid, endpoints filled inward.
 
@@ -273,9 +282,13 @@ def beta_pdf_values(grid: Grid, a, b) -> np.ndarray:
         raise DomainError(
             f"Beta shape parameters must be positive, got {a.flat[i]}, {b.flat[i]}"
         )
+    try:
+        log_beta = _log_beta(a, b)[..., None]
+    except OverflowError:  # lgamma overflows for shapes above about 2.5e305
+        raise NumericError(f"log B(a, b) overflows at shapes up to {max(a.max(), b.max())}") from None
     a, b = a[..., None], b[..., None]
     x = grid.nodes[1:-1]
-    log_pdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b)
+    log_pdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta
     values = np.empty(log_pdf.shape[:-1] + (grid.node_count,))
     values[..., 1:-1] = np.exp(log_pdf)
     values[..., 0] = values[..., 1]

@@ -68,9 +68,9 @@ class RawSeries:
 class SupportEstimate:
     """Common support of the feature values, with a symmetric margin.
 
-    ``lower < upper`` is a precondition (:class:`StructuralError`, a usage
-    error); support estimated from data that cannot give one is rejected
-    earlier, by :func:`estimate_support`.
+    Finite bounds with ``lower < upper`` are a precondition
+    (:class:`StructuralError`, a usage error); support estimated from data
+    that cannot give one is rejected earlier, by :func:`estimate_support`.
     """
 
     lower: float
@@ -78,6 +78,10 @@ class SupportEstimate:
     margin_fraction: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise StructuralError(
+                f"support bounds must be finite, got [{self.lower}, {self.upper}]"
+            )
         if not self.lower < self.upper:
             raise StructuralError(
                 f"support must satisfy lower < upper, got [{self.lower}, {self.upper}]"
@@ -87,8 +91,8 @@ class SupportEstimate:
 def estimate_support(values, margin_fraction: float = DEFAULT_MARGIN_FRACTION) -> SupportEstimate:
     """Min/max support widened by ``margin_fraction`` of the range each side."""
     values = np.asarray(values, dtype=np.float64)
-    if margin_fraction < 0:
-        raise StructuralError(f"margin_fraction must be >= 0, got {margin_fraction}")
+    if not (math.isfinite(margin_fraction) and margin_fraction >= 0):
+        raise StructuralError(f"margin_fraction must be finite and >= 0, got {margin_fraction}")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         raise DegenerateInputError("all values equal; support is degenerate")
@@ -127,10 +131,13 @@ def segment(
 
     Window j covers [t0 + j*w, t0 + (j+1)*w); windows with fewer than
     ``min_count`` samples (including empty ones inside gaps) are dropped
-    and recorded.
+    and recorded.  ``min_count`` must be at least 1, so that no empty
+    window is kept.
     """
     if not window_seconds > 0:
         raise StructuralError(f"window must be positive, got {window_seconds}")
+    if min_count < 1:
+        raise StructuralError(f"min_count must be >= 1, got {min_count}")
     t0 = series.timestamps[0]
     window_ids = np.floor((series.timestamps - t0) / window_seconds).astype(np.int64)
     # Timestamps are non-decreasing, so each window is one contiguous run.

@@ -184,6 +184,28 @@ _GENERATOR_FNS: dict[str, Callable[..., DistributionalSequence]] = {
 }
 
 
+def replicate_sequence(
+    generator: str,
+    n: int,
+    k_star: int,
+    contamination_count: int,
+    seed: int,
+    grid: Grid,
+) -> tuple[DistributionalSequence, tuple[int, ...]]:
+    """One replicate's data: a generated sequence, then its outliers.
+
+    Sub-seeds 0, 3 and 2 of ``seed`` draw the sequence, the outlying
+    densities and their positions; sub-seed 1 is left to the Monte Carlo
+    of the replicate's detection.  Returns the sequence and the 1-based
+    contaminated indices, which are empty without contamination.
+    """
+    seq = _GENERATOR_FNS[generator](n, k_star, derive_seed(seed, 0), grid)
+    if contamination_count <= 0:
+        return seq, ()
+    outliers = gen_outliers(contamination_count, derive_seed(seed, 3), grid)
+    return contaminate(seq, outliers, derive_seed(seed, 2))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for one repeated-detection experiment."""
@@ -282,17 +304,9 @@ def summarize_records(records) -> dict[str, MethodSummary]:
 
 def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[ReplicateRecord]:
     rep_seed = derive_seed(config.seed, r)
-    data_seed = derive_seed(rep_seed, 0)
     mc_seed = derive_seed(rep_seed, 1)
-    contamination_seed = derive_seed(rep_seed, 2)
-    outlier_seed = derive_seed(rep_seed, 3)
-
-    generate = _GENERATOR_FNS[config.generator]
-    seq = generate(config.n, config.k_star, data_seed, grid)
-    truth: tuple[int, ...] = ()
-    if config.contamination_count > 0:
-        outliers = gen_outliers(config.contamination_count, outlier_seed, grid)
-        seq, truth = contaminate(seq, outliers, contamination_seed)
+    seq, truth = replicate_sequence(config.generator, config.n, config.k_star,
+                                    config.contamination_count, rep_seed, grid)
 
     detect_kwargs = dict(
         alpha=config.alpha,

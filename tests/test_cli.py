@@ -1,6 +1,9 @@
 """Command-line round trips, exit codes, schemas, and byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +14,7 @@ from bayes_cpd import simlab
 from bayes_cpd.cli import main
 from bayes_cpd.errors import DegenerateInputError
 from bayes_cpd.io import write_density_csv, write_raw_series_csv
+from bayes_cpd.seeds import derive_seed
 from bayes_cpd import Grid, RawSeries, beta_density, zero_avoid
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "bayes_cpd" / "schemas"
@@ -182,6 +186,17 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "r.json")])
         assert code in (0, 1)
 
+    def test_same_data_as_the_experiment_replicate(self, tmp_path):
+        config = simlab.ExperimentConfig("model1", n=30, k_star=15, replicates=1,
+                                         contamination_count=4, mc_samples=100, seed=11)
+        replicate = simlab.run_experiment(config).records[0]
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--generator", "model1", "--n", "30", "--kstar", "15",
+                     "--seed", str(derive_seed(11, 0)), "--contaminate", "4",
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "r.csv.meta.json").read_text())
+        assert tuple(sidecar["contaminated_indices"]) == replicate.contaminated_indices
+
     def test_unknown_generator_exit_two(self, tmp_path):
         assert main(["simulate", "--generator", "nope",
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -254,6 +269,9 @@ class TestIngestCommand:
         ("--bandwidth", "inf", "bandwidth"),
         ("--bandwidth", "1e-5", "bandwidth"),
         ("--window-seconds", "nan", "window"),
+        ("--support", "1:inf", "support"),
+        ("--margin", "nan", "margin"),
+        ("--margin", "inf", "margin"),
     ])
     def test_nan_or_out_of_range_setting_exit_two(self, tmp_path, capsys, flag, value, named):
         raw = _write_series(tmp_path)
@@ -261,6 +279,19 @@ class TestIngestCommand:
         assert main(["ingest", str(raw), "--timestamp-format", "epoch",
                      flag, value, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("min_count", ["0", "-1"])
+    def test_min_count_below_one_exit_two(self, tmp_path, capsys, min_count):
+        rng = np.random.default_rng(3)
+        days = np.array([0, 1, 2, 4, 5, 6])  # day 3 is a gap, so its window is empty
+        t = (days[:, None] * 86400.0 + np.arange(80) * 1080.0).ravel()
+        raw = tmp_path / "gap.csv"
+        write_raw_series_csv(raw, RawSeries(t, 2.0 + 2.0 * rng.beta(10, 12, t.size)))
+        out = tmp_path / "x.csv"
+        assert main(["ingest", str(raw), "--timestamp-format", "epoch",
+                     "--min-count", min_count, "--out", str(out)]) == 2
+        assert "min_count" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("via", ["flag", "config"])
@@ -491,3 +522,46 @@ class TestDeterminism:
         main(["detect", str(sim_csv), "--mc-samples", "200", "--seed", "5",
               "--threads", "2", "--out", str(res_flag)])
         assert res_env.read_bytes() == res_flag.read_bytes()
+
+
+#: Runs every command with scipy blocked, as in an install that has only
+#: the runtime dependencies; prints one line per failed expectation.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+import bayes_cpd.cli as cli
+from bayes_cpd import RawSeries
+from bayes_cpd.io import write_raw_series_csv
+
+loaded = sorted(m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy")
+if loaded:
+    print("scipy modules loaded:", loaded)
+t = np.arange(6 * 400) * 216.0  # 6 days, 400 samples a day
+rng = np.random.default_rng(5)
+write_raw_series_csv("raw.csv", RawSeries(t, 2.0 + 2.0 * rng.beta(12.0, 12.0, t.size)))
+for argv in (
+    ["simulate", "--generator", "model1", "--n", "40", "--kstar", "20", "--seed", "3",
+     "--contaminate", "2", "--out", "demo.csv"],
+    ["detect", "demo.csv", "--mc-samples", "200", "--out", "result.json"],
+    ["detect", "demo.csv", "--clean", "--mc-samples", "200", "--out", "cleaned.json"],
+    ["clean", "demo.csv", "--out", "c.csv", "--report", "clean.json"],
+    ["ingest", "raw.csv", "--timestamp-format", "epoch", "--out", "dens.csv",
+     "--report", "ingest.json"],
+    ["experiment", "--generator", "model2", "--n", "30", "--k-star", "15",
+     "--replicates", "2", "--mc-samples", "100", "--out-dir", "exp"],
+):
+    code = cli.main(argv)  # 0 for all: detect finds the break
+    if code != 0:
+        print(argv[0], "exited", code)
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -19,7 +19,7 @@ from bayes_cpd import (
     integrate,
     zero_avoid,
 )
-from bayes_cpd.density import ClrFunction, beta_pdf_values, normalize_rows
+from bayes_cpd.density import ClrFunction, _log_beta, beta_pdf_values, normalize_rows
 from bayes_cpd.errors import DomainError, NumericError, StructuralError
 
 from helpers import b_mean, random_beta, random_density, uniform_density
@@ -342,3 +342,14 @@ class TestBetaRows:
         rows = normalize_rows(grid, beta_pdf_values(grid, a, b))
         for row, ai, bi in zip(rows, a, b):
             assert row.tobytes() == beta_density(grid, ai, bi).values.tobytes()
+
+    def test_log_beta_matches_scipy_betaln(self):
+        from scipy.special import betaln  # a test-only reference
+
+        shapes = np.geomspace(0.1, 1000.0, 120)
+        a, b = np.meshgrid(shapes, shapes)
+        assert np.max(np.abs(_log_beta(a, b) - betaln(a, b))) <= 1e-10
+
+    def test_log_gamma_overflow_raises_numeric_error(self, grid):
+        with pytest.raises(NumericError, match="overflows"):
+            beta_pdf_values(grid, np.array([3.0, 1e306]), np.array([2.0, 2.0]))

@@ -82,6 +82,11 @@ class TestSegment:
         with pytest.raises(StructuralError, match="window"):
             segment(hourly_series(2), window)
 
+    @pytest.mark.parametrize("min_count", [0, -5])
+    def test_min_count_below_one_rejected(self, min_count):
+        with pytest.raises(StructuralError, match="min_count"):
+            segment(hourly_series(2), 3600.0, min_count=min_count)
+
     def test_contiguous_runs_match_mask_split(self):
         # hourly windows holding 0 (gaps), a few, and min_count +- 1 samples,
         # with repeated timestamps; one boolean mask per window is the oracle
@@ -118,6 +123,17 @@ class TestSupport:
     def test_degenerate_support_rejected(self):
         with pytest.raises(DegenerateInputError):
             estimate_support([3.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_margin_rejected(self, margin):
+        with pytest.raises(StructuralError, match="margin_fraction"):
+            estimate_support([2.0, 3.0, 4.0], margin_fraction=margin)
+
+    @pytest.mark.parametrize("lower, upper", [(1.0, float("inf")), (-float("inf"), 1.0),
+                                              (float("nan"), 1.0)])
+    def test_non_finite_bounds_rejected(self, lower, upper):
+        with pytest.raises(StructuralError, match="support bounds must be finite"):
+            SupportEstimate(lower, upper, 0.0)
 
     def test_positive_margin_keeps_data_interior(self):
         rng = np.random.default_rng(8)
