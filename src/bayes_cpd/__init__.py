@@ -27,7 +27,6 @@ from .engine import (
 )
 from .cleaning import (
     CleaningReport,
-    ClrMedianDistanceDetector,
     clean,
     clean_and_detect,
     detect_distributional_outliers,
@@ -66,8 +65,7 @@ __all__ = [
     "DistributionalSequence", "CusumProfile", "DetectionResult", "cusum_profile", "detect",
     "simulate_limit_samples", "p_value",
     # cleaning
-    "ClrMedianDistanceDetector", "CleaningReport", "detect_distributional_outliers",
-    "clean", "clean_and_detect",
+    "CleaningReport", "detect_distributional_outliers", "clean", "clean_and_detect",
     # ingestion
     "RawSeries", "SupportEstimate", "IngestConfig", "IngestionReport", "estimate_support",
     "normalize", "segment", "silverman_bandwidth", "kde", "build_sequence",

@@ -4,7 +4,8 @@ Option precedence is fixed: the library's defaults, then a ``--config``
 file of flat ``key = value`` lines, then explicit command-line flags.  Exit
 codes encode the statistical decision for ``detect``: 0 = change-point found
 (reject), 1 = no change-point (fail to reject), 2 = usage or file-format
-error, 3 = degenerate input.
+error, 3 = degenerate input.  Every output path a command is given is
+checked before any input is read, so a refused path leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import io as bio
-from .cleaning import DEFAULT_WHISKER, ClrMedianDistanceDetector, clean, clean_and_detect
+from .cleaning import DEFAULT_WHISKER, clean, clean_and_detect
 from .density import DEFAULT_NODE_COUNT, Grid
 from .engine import (
     CENTERINGS,
@@ -118,11 +119,21 @@ def _emit_json(obj: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse an output file whose directory is missing or which is a directory."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise StructuralError(f"output path is a directory: {path}")
+        if not Path(path).parent.is_dir():
+            raise StructuralError(f"output directory does not exist: {path}")
+
+
 def _read_sequence(path: str) -> DistributionalSequence:
     return DistributionalSequence(*bio.read_density_csv(path))
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    _check_outputs(args.out, args.profile_csv, args.increment_csv, args.cleaning_report)
     seq = _read_sequence(args.density_csv)
     detect_kwargs = dict(
         alpha=args.alpha, mc_samples=args.mc_samples, theta=args.theta,
@@ -133,8 +144,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.clean:
         if args.method != METHOD_BAYES:
             raise StructuralError("--clean is only available with the bayes-clr method")
-        cleaning_report, result = clean_and_detect(
-            seq, ClrMedianDistanceDetector(args.whisker), **detect_kwargs)
+        cleaning_report, result = clean_and_detect(seq, args.whisker, **detect_kwargs)
     else:
         result = detect(seq, **detect_kwargs)
 
@@ -158,20 +168,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise StructuralError("simulate needs --generator")
     if args.out is None:
         raise StructuralError("simulate needs --out")
+    sidecar = args.sidecar or (args.out + ".meta.json")
+    _check_outputs(args.out, sidecar)
     grid = Grid(args.grid_nodes)
     seq, contaminated = replicate_sequence(args.generator, args.n, args.kstar,
                                            args.contaminate, args.seed, grid)
     bio.write_density_csv(args.out, grid, seq.values)
-    bio.dump_json(
-        bio.simulate_sidecar_to_dict(args.kstar, contaminated, args.seed),
-        args.sidecar or (args.out + ".meta.json"),
-    )
+    bio.dump_json(bio.simulate_sidecar_to_dict(args.kstar, contaminated, args.seed), sidecar)
     return 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.out is None:
         raise StructuralError("ingest needs --out")
+    _check_outputs(args.out, args.report)
     support = None
     if args.support is not None:
         try:
@@ -200,6 +210,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise StructuralError("experiment needs a generator (flag or config key)")
     if args.out_dir is None:
         raise StructuralError("experiment needs --out-dir")
+    out_dir = Path(args.out_dir)
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise StructuralError(f"output directory cannot be created: {args.out_dir}")
     settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
     config = ExperimentConfig(**{**settings, "threads": resolve_threads(args.threads)})
     report = run_experiment(config)
@@ -213,8 +226,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_clean(args: argparse.Namespace) -> int:
     if args.out is None:
         raise StructuralError("clean needs --out")
+    _check_outputs(args.out, args.report)
     seq = _read_sequence(args.density_csv)
-    report = clean(seq, ClrMedianDistanceDetector(args.whisker))
+    report = clean(seq, args.whisker)
     bio.write_density_csv(args.out, seq.grid,
                           seq.subsequence(report.kept_indices).values)
     _emit_json(bio.cleaning_report_to_dict(report), args.report)
@@ -326,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (BayesCpdError, FileNotFoundError, ValueError) as exc:
+    except (BayesCpdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -285,6 +285,10 @@ def build_sequence(
             f"only {len(seg.segments)} usable segments; need at least 4"
         )
 
+    single = [j for j, v in zip(seg.segment_indices, seg.segments) if v.size < 2]
+    if config.bandwidth is None and single:
+        raise StructuralError(f"window {single[0]} holds 1 sample, too few for the automatic "
+                              "bandwidth; raise min_count to 2 or give a fixed bandwidth")
     bandwidths = [
         config.bandwidth if config.bandwidth is not None else silverman_bandwidth(v)
         for v in seg.segments

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cleaning import CleaningReport
+from .cleaning import DEFAULT_WHISKER, OUTLIER_DETECTOR, CleaningReport, tukey_fences
 from .density import Grid, check_density_rows
 from .engine import CusumProfile, DetectionResult
 from .errors import BayesCpdError, CsvFormatError, StructuralError
@@ -206,8 +206,8 @@ def write_boxplot_csv(path, report: ExperimentReport) -> None:
             if errs.size == 0:
                 continue
             q1, med, q3 = np.percentile(errs, [25, 50, 75])
-            iqr = q3 - q1
-            inside = errs[(errs >= q1 - 1.5 * iqr) & (errs <= q3 + 1.5 * iqr)]
+            fence_lo, fence_hi = tukey_fences(errs, DEFAULT_WHISKER)
+            inside = errs[(errs >= fence_lo) & (errs <= fence_hi)]
             lo, hi = float(inside.min()), float(inside.max())
             fliers = sorted(float(e) for e in errs[(errs < lo) | (errs > hi)])
             writer.writerow([
@@ -254,8 +254,8 @@ def cleaning_report_to_dict(report: CleaningReport) -> dict:
     return {
         "removed_indices": list(report.removed_indices),
         "kept_indices": list(report.kept_indices),
-        "detector": report.detector,
-        "params": report.params,
+        "detector": OUTLIER_DETECTOR,
+        "params": {"whisker": report.whisker},
     }
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cleaning import ClrMedianDistanceDetector, clean_and_detect
+from .cleaning import clean_and_detect
 from .density import (
     DEFAULT_NODE_COUNT,
     Grid,
@@ -199,8 +199,10 @@ def replicate_sequence(
     of the replicate's detection.  Returns the sequence and the 1-based
     contaminated indices, which are empty without contamination.
     """
+    if contamination_count < 0:
+        raise StructuralError(f"contamination count must be >= 0, got {contamination_count}")
     seq = _GENERATOR_FNS[generator](n, k_star, derive_seed(seed, 0), grid)
-    if contamination_count <= 0:
+    if contamination_count == 0:
         return seq, ()
     outliers = gen_outliers(contamination_count, derive_seed(seed, 3), grid)
     return contaminate(seq, outliers, derive_seed(seed, 2))
@@ -333,8 +335,7 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
 
     try:
         if config.clean:
-            report, result = clean_and_detect(seq, ClrMedianDistanceDetector(),
-                                              **detect_kwargs)
+            report, result = clean_and_detect(seq, **detect_kwargs)
             record(result, cleaned=report.removed_indices)
         else:
             record(detect(seq, **detect_kwargs))

@@ -15,11 +15,8 @@ from bayes_cpd import (
     detect_distributional_outliers,
     zero_avoid,
 )
-from bayes_cpd.cleaning import (
-    CleaningReport,
-    ClrMedianDistanceDetector,
-    boxplot_keep_mask,
-)
+from bayes_cpd import cleaning
+from bayes_cpd.cleaning import CleaningReport, boxplot_keep_mask
 from bayes_cpd.errors import DegenerateInputError, StructuralError
 from bayes_cpd.seeds import derive_seed
 from bayes_cpd.simlab import contaminate, gen_model3, gen_outliers
@@ -122,42 +119,64 @@ class TestDistributionalOutlierDetector:
         rng = np.random.default_rng(7)
         seq = DistributionalSequence.from_densities(random_beta(grid, rng) for _ in range(6))
         before = seq.values.copy()
-        ClrMedianDistanceDetector().flag(seq)
+        detect_distributional_outliers(seq)
         np.testing.assert_array_equal(seq.values, before)
 
     @pytest.mark.parametrize("whisker", [0.0, -1.0, float("nan")])
-    def test_positive_whisker_required(self, whisker):
+    def test_positive_whisker_required(self, grid, whisker):
         with pytest.raises(StructuralError):
-            ClrMedianDistanceDetector(whisker)
+            detect_distributional_outliers(two_segment_sequence(grid, 4, 4), whisker)
+
+    @pytest.mark.parametrize("whisker", [0.5, 1.5, 3.0])
+    def test_flags_exactly_the_distances_above_the_upper_fence(self, grid, whisker):
+        # a quarter of the densities are outliers, so the fence moves with the whisker
+        rep_seed = derive_seed(321, 0)
+        seq = gen_model3(60, 30, derive_seed(rep_seed, 0), grid)
+        seq, _ = contaminate(seq, gen_outliers(15, derive_seed(rep_seed, 3), grid),
+                             derive_seed(rep_seed, 2))
+        mat = seq.clr_matrix()
+        diff = mat - np.median(mat, axis=0)
+        distances = np.sqrt((diff * diff) @ grid.weights)
+        q1 = quartile_oracle(distances, 0.25)
+        q3 = quartile_oracle(distances, 0.75)
+        expected = tuple(i + 1 for i, d in enumerate(distances)
+                         if d > q3 + whisker * (q3 - q1))
+        assert len(expected) == {0.5: 15, 1.5: 12, 3.0: 9}[whisker]
+        assert detect_distributional_outliers(seq, whisker) == expected
 
 
-class _FixedDetector:
-    name = "fixed"
-    whisker = 1.5
+@pytest.fixture()
+def flag_fixed(monkeypatch):
+    """Make the outlier rule flag the given indices whatever the data;
+    the whiskers it is called with are collected in the returned list."""
+    whiskers = []
 
-    def __init__(self, indices):
-        self.indices = tuple(indices)
+    def install(indices):
+        def fake(seq, whisker):
+            whiskers.append(whisker)
+            return tuple(indices)
+        monkeypatch.setattr(cleaning, "detect_distributional_outliers", fake)
+        return whiskers
 
-    def flag(self, seq):
-        return self.indices
+    return install
 
 
 class TestCleanAndDetect:
-    def test_never_flagging_detector_is_noop(self, grid):
+    def test_never_flagging_detector_is_noop(self, grid, flag_fixed):
+        flag_fixed(())
         seq = two_segment_sequence(grid, 8, 8)
-        report, cleaned = clean_and_detect(seq, _FixedDetector(()),
-                                           mc_samples=200, seed=4)
+        report, cleaned = clean_and_detect(seq, mc_samples=200, seed=4)
         plain = detect(seq, mc_samples=200, seed=4)
         assert report.removed_indices == ()
         assert report.kept_indices == tuple(range(1, 17))
         assert (cleaned.k_hat, cleaned.statistic, cleaned.p_value) == \
                (plain.k_hat, plain.statistic, plain.p_value)
 
-    def test_index_map_restores_original_positions(self, grid):
+    def test_index_map_restores_original_positions(self, grid, flag_fixed):
         seq = two_segment_sequence(grid, 30, 30)
         removed = (10, 20)
-        report, result = clean_and_detect(seq, _FixedDetector(removed),
-                                          mc_samples=200, seed=4)
+        flag_fixed(removed)
+        report, result = clean_and_detect(seq, mc_samples=200, seed=4)
         assert report.removed_indices == removed
         # detect on the manually built sub-sequence, then map by hand
         sub = seq.subsequence(report.kept_indices)
@@ -165,18 +184,21 @@ class TestCleanAndDetect:
         assert result.k_hat == report.kept_indices[sub_result.k_hat - 1]
         assert result.k_hat in report.kept_indices
 
-    def test_clean_partitions_and_reports_whisker(self, grid):
+    def test_clean_partitions_and_reports_whisker(self, grid, flag_fixed):
         seq = two_segment_sequence(grid, 4, 4)
-        report = clean(seq, _FixedDetector((5, 2)))
+        whiskers = flag_fixed((2, 5))
+        report = clean(seq, 2.5)
         assert report.removed_indices == (2, 5)
         assert report.kept_indices == (1, 3, 4, 6, 7, 8)
-        assert report.detector == "fixed"
-        assert report.params == {"whisker": 1.5}
+        assert report.whisker == 2.5
+        assert whiskers == [2.5]
+        assert clean(seq).whisker == 1.5
 
-    def test_over_aggressive_cleaning_rejected(self, grid):
+    def test_over_aggressive_cleaning_rejected(self, grid, flag_fixed):
         seq = two_segment_sequence(grid, 3, 3)
+        flag_fixed((1, 2, 3))
         with pytest.raises(DegenerateInputError):
-            clean_and_detect(seq, _FixedDetector((1, 2, 3)), mc_samples=50)
+            clean_and_detect(seq, mc_samples=50)
 
     @given(st.sets(st.integers(min_value=1, max_value=30), max_size=10))
     @settings(max_examples=40, deadline=None)
@@ -186,8 +208,7 @@ class TestCleanAndDetect:
         if len(kept) < 4:
             return
         report = CleaningReport(
-            removed_indices=tuple(sorted(removed)), kept_indices=kept,
-            detector="x", params={},
+            removed_indices=tuple(sorted(removed)), kept_indices=kept, whisker=1.5,
         )
         assert set(report.removed_indices) | set(report.kept_indices) == set(range(1, n + 1))
         assert set(report.removed_indices) & set(report.kept_indices) == set()

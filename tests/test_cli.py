@@ -201,6 +201,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--generator", "nope",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_negative_contamination_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--generator", "model1", "--n", "40", "--kstar", "20",
+                     "--contaminate", "-3", "--out", str(out)]) == 2
+        assert "contamination count must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta.json").exists()
+
 
 def _write_series(tmp_path, days=8, switch=None, per_day=80):
     rng = np.random.default_rng(42)
@@ -293,6 +301,20 @@ class TestIngestCommand:
                      "--min-count", min_count, "--out", str(out)]) == 2
         assert "min_count" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_sample_window_named_with_its_settings(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        t = np.append(np.arange(6 * 80) * 1080.0, 6 * 86400.0)  # window 6 holds one sample
+        raw = tmp_path / "tail.csv"
+        write_raw_series_csv(raw, RawSeries(t, 2.0 + 2.0 * rng.beta(10, 12, t.size)))
+        out = tmp_path / "x.csv"
+        argv = ["ingest", str(raw), "--timestamp-format", "epoch", "--min-count", "1",
+                "--out", str(out), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "window 6" in err and "min_count" in err and "bandwidth" in err
+        assert not out.exists()
+        assert main(argv + ["--bandwidth", "0.05"]) == 0
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_non_numeric_bandwidth_exit_two(self, tmp_path, capsys, via):
@@ -471,6 +493,19 @@ class TestCleanCommand:
         assert "theta must be in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("whisker", ["0.5", "1.5", "3"])
+    def test_report_names_the_rule_and_its_whisker(self, tmp_path, whisker):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--generator", "model3", "--n", "40", "--kstar", "20",
+                     "--seed", "5", "--contaminate", "8", "--grid-nodes", "64",
+                     "--out", str(out)]) == 0
+        rep = tmp_path / "rep.json"
+        assert main(["clean", str(out), "--whisker", whisker, "--out", str(tmp_path / "c.csv"),
+                     "--report", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["detector"] == "clr-median-distance"
+        assert payload["params"] == {"whisker": float(whisker)}
+
     def test_clean_writes_report_and_csv(self, tmp_path):
         out = tmp_path / "sim.csv"
         main(["simulate", "--generator", "model3", "--n", "40", "--kstar", "20",
@@ -482,6 +517,42 @@ class TestCleanCommand:
         validate(payload, "cleaning_report")
         rows = cleaned.read_text().strip().splitlines()
         assert len(rows) == 1 + len(payload["kept_indices"])
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("case", ["out-under-a-file", "out-is-a-dir", "input-is-a-dir",
+                                      "out-dir-is-a-file"])
+    def test_os_errors_exit_two(self, sim_csv, tmp_path, capsys, case):
+        argv = {
+            "out-under-a-file": ["detect", str(sim_csv), "--mc-samples", "50",
+                                 "--out", str(sim_csv / "r.json")],
+            "out-is-a-dir": ["detect", str(sim_csv), "--mc-samples", "50",
+                             "--out", str(tmp_path)],
+            "input-is-a-dir": ["detect", str(tmp_path), "--mc-samples", "50"],
+            "out-dir-is-a-file": ["experiment", "--generator", "model1", "--n", "20",
+                                  "--k-star", "10", "--replicates", "1", "--mc-samples", "50",
+                                  "--grid-nodes", "64", "--out-dir", str(sim_csv)],
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["ingest", "detect", "clean", "simulate"])
+    def test_missing_output_directory_writes_nothing(self, sim_csv, tmp_path, capsys,
+                                                      command):
+        first = tmp_path / "first.out"
+        missing = str(tmp_path / "missing" / "dir" / "r.json")
+        argv = {
+            "ingest": ["ingest", str(_write_series(tmp_path)), "--timestamp-format", "epoch",
+                       "--out", str(first), "--report", missing],
+            "detect": ["detect", str(sim_csv), "--mc-samples", "50",
+                       "--profile-csv", str(first), "--out", missing],
+            "clean": ["clean", str(sim_csv), "--out", str(first), "--report", missing],
+            "simulate": ["simulate", "--generator", "model1", "--n", "40", "--kstar", "20",
+                         "--out", str(first), "--sidecar", missing],
+        }[command]
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+        assert not first.exists()
 
 
 class TestDeterminism:

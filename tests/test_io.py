@@ -11,6 +11,7 @@ from bayes_cpd.io import (
     experiment_report_to_dict,
     read_density_csv,
     read_raw_series_csv,
+    write_boxplot_csv,
     write_density_csv,
 )
 from bayes_cpd.simlab import ExperimentReport, ReplicateRecord, summarize_records
@@ -31,6 +32,28 @@ def test_error_records_serialize_without_nan(tmp_path):
     payload = json.loads(text)
     assert payload["replicates"][0]["p_value"] is None
     assert payload["summaries"]["error"]["median_abs_error"] is None
+
+
+def test_boxplot_csv_whiskers_and_fliers_follow_the_tukey_fences(tmp_path):
+    # "many": q1 = 10, q3 = 12, fences 7 and 15, so 0, 16 and 30 are fliers.
+    # "few" (3 records, no pass-through): q1 = 7, q3 = 24.5, fences
+    # -19.25 and 50.75, so the whiskers end at the extreme records.
+    errors = {"many": [11, 0, 10, 12, 30, 10, 16, 11, 12], "few": [40, 5, 9]}
+    records = tuple(
+        ReplicateRecord(replicate=r, method=method, k_hat=50 + e, abs_error=e,
+                        p_value=0.01, rejected=True)
+        for method, errs in errors.items() for r, e in enumerate(errs)
+    ) + (ReplicateRecord(replicate=9, method="error", k_hat=0, abs_error=0,
+                         p_value=float("nan"), rejected=False, error="RuntimeError: x"),)
+    report = ExperimentReport(config=ExperimentConfig(generator="model1"), records=records,
+                              summaries=summarize_records(records))
+    path = tmp_path / "boxplot.csv"
+    write_boxplot_csv(path, report)
+    assert path.read_text().splitlines() == [
+        "method,median,q1,q3,whisker_lo,whisker_hi,n_fliers,fliers",
+        "few,9.0,7.0,24.5,5.0,40.0,0,",
+        "many,11.0,10.0,12.0,10.0,12.0,3,0.0;16.0;30.0",
+    ]
 
 
 def test_density_csv_round_trip_is_exact(tmp_path):
