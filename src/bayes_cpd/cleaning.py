@@ -29,13 +29,14 @@ def tukey_fences(samples, whisker: float) -> tuple[float, float]:
 
     Quartiles are linear interpolations of the order statistics.  A
     whisker that is not positive, NaN included, raises
-    :class:`StructuralError`.
+    :class:`StructuralError`.  A zero IQR gives ``(Q1, Q3)`` at any
+    whisker, so an infinite whisker means no fence only when IQR > 0.
     """
     if not whisker > 0:
         raise StructuralError(f"whisker must be positive, got {whisker}")
     q1, q3 = np.percentile(samples, [25, 75])
-    iqr = q3 - q1
-    return q1 - whisker * iqr, q3 + whisker * iqr
+    reach = whisker * (q3 - q1) if q3 > q1 else 0.0  # w * 0 = 0, also for w = inf
+    return q1 - reach, q3 + reach
 
 
 def boxplot_keep_mask(samples: np.ndarray, whisker: float = DEFAULT_WHISKER) -> np.ndarray:

@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (BayesCpdError, OSError, ValueError) as exc:
+    except (BayesCpdError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import datetime as _dt
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,6 @@ TIMESTAMP_FORMATS = ("iso", "epoch")
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _json_number(x: float):
-    return None if np.isnan(x) else float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +226,23 @@ def write_experiment_outputs(out_dir, report: ExperimentReport) -> None:
 # JSON shapes
 # ---------------------------------------------------------------------------
 
+def _fields(record, *drop: str) -> dict:
+    """The dataclass fields of ``record`` in declaration order, less ``drop``.
+
+    A float NaN is written as ``None`` (JSON null); the caller replaces
+    any value that is itself a record.
+    """
+    out = {}
+    for f in dataclasses.fields(record):
+        if f.name not in drop:
+            value = getattr(record, f.name)
+            out[f.name] = None if isinstance(value, float) and math.isnan(value) else value
+    return out
+
+
 def detection_result_to_dict(result: DetectionResult,
                              increment_csv_path: str | None = None) -> dict:
-    out = {
-        "k_hat": result.k_hat,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "alpha": result.alpha,
-        "reject_null": result.reject_null,
-        "L": result.L,
-        "eigenvalues": list(result.eigenvalues),
-        "mc_samples": result.mc_samples,
-        "seed": result.seed,
-        "centering": result.centering,
-        "degenerate": result.degenerate,
-        "method": result.method,
-    }
+    out = _fields(result, "increment")
     if increment_csv_path is not None:
         out["increment_csv_path"] = increment_csv_path
     return out
@@ -260,45 +258,18 @@ def cleaning_report_to_dict(report: CleaningReport) -> dict:
 
 
 def ingestion_report_to_dict(report: IngestionReport) -> dict:
-    return {
-        "segments_total": report.segments_total,
-        "segments_dropped": [list(pair) for pair in report.segments_dropped],
-        "scalar_outliers_removed": report.scalar_outliers_removed,
-        "clamped_values": report.clamped_values,
-        "support": {"lower": report.support.lower, "upper": report.support.upper},
-        "bandwidth_per_segment": list(report.bandwidth_per_segment),
-    }
+    support = {"lower": report.support.lower, "upper": report.support.upper}
+    return {**_fields(report), "support": support}
 
 
 def experiment_report_to_dict(report: ExperimentReport) -> dict:
-    config = dataclasses.asdict(report.config)
-    del config["threads"]  # how a run was scheduled is not part of its result
     return {
-        "config": config,
+        # how a run was scheduled is not part of its result
+        "config": _fields(report.config, "threads"),
         "summaries": {
-            method: {
-                "count": s.count,
-                "median_abs_error": _json_number(s.median_abs_error),
-                "q1_abs_error": _json_number(s.q1_abs_error),
-                "q3_abs_error": _json_number(s.q3_abs_error),
-                "rejection_rate": _json_number(s.rejection_rate),
-            }
-            for method, s in sorted(report.summaries.items())
+            method: _fields(s, "method") for method, s in sorted(report.summaries.items())
         },
-        "replicates": [
-            {
-                "replicate": r.replicate,
-                "method": r.method,
-                "k_hat": r.k_hat,
-                "abs_error": r.abs_error,
-                "p_value": None if np.isnan(r.p_value) else r.p_value,
-                "rejected": r.rejected,
-                "cleaned_indices": list(r.cleaned_indices),
-                "contaminated_indices": list(r.contaminated_indices),
-                "error": r.error,
-            }
-            for r in report.records
-        ],
+        "replicates": [_fields(r) for r in report.records],
     }
 
 

@@ -1,5 +1,7 @@
 """Boxplot filtering, distributional outlier detection, index bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,19 @@ class TestScalarBoxplotFilter:
     def test_positive_whisker_required(self):
         with pytest.raises(StructuralError):
             boxplot_keep_mask(np.arange(6.0), whisker=0.0)
+
+    @pytest.mark.parametrize("whisker", [1.5, 1e300, np.inf])
+    def test_zero_iqr_fences_are_the_quartiles_at_any_whisker(self, whisker):
+        samples = [2.0] * 8 + [1.0, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cleaning.tukey_fences(samples, whisker) == (2.0, 2.0)
+            np.testing.assert_array_equal(scalar_boxplot_filter(samples, whisker), [2.0] * 8)
+
+    def test_infinite_whisker_sets_no_fence(self):
+        samples = [1.0, 2.0, 3.0, 4.0, 100.0]
+        assert cleaning.tukey_fences(samples, np.inf) == (-np.inf, np.inf)
+        np.testing.assert_array_equal(scalar_boxplot_filter(samples, np.inf), samples)
 
     @given(st.lists(st.floats(-100, 100), min_size=4, max_size=60),
            st.floats(0.5, 4.0))

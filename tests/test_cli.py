@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bayes_cpd import simlab
+from bayes_cpd import engine, simlab
 from bayes_cpd.cli import main
 from bayes_cpd.errors import DegenerateInputError
 from bayes_cpd.io import write_density_csv, write_raw_series_csv
@@ -125,6 +125,17 @@ class TestDetectCommand:
                      "--cleaning-report", str(rep)])
         assert code == 0
         validate(json.loads(rep.read_text()), "cleaning_report")
+
+    def test_allocation_failure_exit_two_without_output(self, sim_csv, tmp_path, capsys,
+                                                        monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 84.0 TiB for an array")
+
+        monkeypatch.setattr(engine, "_simulate_chunk", out_of_memory)
+        out = tmp_path / "r.json"
+        assert main(["detect", str(sim_csv), "--mc-samples", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 84.0 TiB for an array\n"
+        assert not out.exists()
 
     def test_config_file_overridden_by_flags(self, sim_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -342,6 +353,30 @@ class TestIngestCommand:
         assert main(["ingest", str(path), "--timestamp-format", "epoch",
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "all values equal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("support, code", [(["--support", "1:5"], 0), ([], 3)],
+                             ids=["fixed-support", "estimated-support"])
+    def test_infinite_whisker_on_zero_iqr_matches_a_huge_finite_one(self, tmp_path, capsys,
+                                                                    support, code):
+        rng = np.random.default_rng(7)
+        ts = np.arange(8 * 80) * (86400.0 / 80)
+        values = np.full(ts.size, 2.0)
+        values[::5] = 2.0 + 2.0 * rng.beta(10, 12, values[::5].size)  # 80% are 2.0: IQR 0
+        raw = tmp_path / "mostly_two.csv"
+        write_raw_series_csv(raw, RawSeries(ts, values))
+        runs = []
+        for whisker in ("1e300", "inf"):
+            out, rep = tmp_path / f"{whisker}.csv", tmp_path / f"{whisker}.json"
+            rc = main(["ingest", str(raw), "--timestamp-format", "epoch", "--whisker", whisker,
+                       *support, "--out", str(out), "--report", str(rep)])
+            written = [p.read_bytes() for p in (out, rep) if p.exists()]
+            runs.append((rc, capsys.readouterr().err, written))
+        assert runs[0][0] == code
+        assert runs[1] == runs[0]
+        if code == 3:
+            assert "all values equal" in runs[0][1]
+        else:
+            assert len(runs[0][2]) == 2
 
     def test_iso_timestamps_parsed(self, tmp_path):
         path = tmp_path / "iso.csv"

@@ -1,21 +1,47 @@
 """Serialization edge cases."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bayes_cpd import ExperimentConfig, Grid, beta_density, zero_avoid
+from bayes_cpd import (
+    ExperimentConfig,
+    Grid,
+    RawSeries,
+    beta_density,
+    build_sequence,
+    detect,
+    run_experiment,
+    simlab,
+    zero_avoid,
+)
 from bayes_cpd.io import (
+    detection_result_to_dict,
     dump_json,
     experiment_report_to_dict,
+    ingestion_report_to_dict,
     read_density_csv,
     read_raw_series_csv,
     write_boxplot_csv,
     write_density_csv,
 )
 from bayes_cpd.simlab import ExperimentReport, ReplicateRecord, summarize_records
-from bayes_cpd.errors import CsvFormatError
+from bayes_cpd.errors import CsvFormatError, DegenerateInputError
+
+from helpers import two_segment_sequence
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "bayes_cpd" / "schemas"
+
+
+def schema_keys(name, *path):
+    """Property names, in schema order, of the object at ``path`` in a schema."""
+    node = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
+    for key in path:
+        node = node[key]
+    return list(node["properties"])
 
 
 def test_error_records_serialize_without_nan(tmp_path):
@@ -32,6 +58,57 @@ def test_error_records_serialize_without_nan(tmp_path):
     payload = json.loads(text)
     assert payload["replicates"][0]["p_value"] is None
     assert payload["summaries"]["error"]["median_abs_error"] is None
+
+
+def test_detection_result_keys_follow_the_schema():
+    result = detect(two_segment_sequence(Grid(64), 5, 5), mc_samples=50, seed=1)
+    keys = schema_keys("detection_result")
+    assert list(detection_result_to_dict(result)) == [
+        k for k in keys if k != "increment_csv_path"
+    ]
+    assert list(detection_result_to_dict(result, "inc.csv")) == keys
+
+
+def test_ingestion_report_keys_follow_the_schema():
+    rng = np.random.default_rng(4)
+    t = np.arange(8 * 80) * 1080.0
+    _, report = build_sequence(RawSeries(t, 2.0 + 2.0 * rng.beta(10, 12, t.size)))
+    payload = ingestion_report_to_dict(report)
+    assert list(payload) == schema_keys("ingestion_report")
+    assert list(payload["support"]) == schema_keys("ingestion_report", "properties", "support")
+
+
+def test_experiment_report_keys_follow_the_schema(monkeypatch):
+    calls = []
+
+    def first_call_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise DegenerateInputError("nothing to detect")
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(simlab, "detect", first_call_fails)
+    config = ExperimentConfig(generator="model2", n=30, k_star=15, replicates=2,
+                              grid_nodes=128, mc_samples=100)
+    payload = json.loads(dump_json(experiment_report_to_dict(run_experiment(config))))
+    assert list(payload) == schema_keys("experiment_report")
+    assert list(payload["config"]) == [
+        f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "threads"
+    ]
+    summary_keys = schema_keys("experiment_report", "properties", "summaries",
+                               "additionalProperties")
+    assert sorted(payload["summaries"]) == ["bayes-clr", "error"]
+    for summary in payload["summaries"].values():
+        assert list(summary) == summary_keys
+    replicate_keys = schema_keys("experiment_report", "properties", "replicates", "items")
+    assert [list(r) for r in payload["replicates"]] == [replicate_keys] * 2
+    errored, ok = payload["replicates"]
+    assert errored["error"] == "DegenerateInputError: nothing to detect"
+    assert errored["p_value"] is None
+    assert ok["error"] is None and 0 <= ok["p_value"] <= 1
+    error_summary = payload["summaries"]["error"]
+    assert error_summary["count"] == 1
+    assert [error_summary[k] for k in summary_keys if k != "count"] == [None] * 4
 
 
 def test_boxplot_csv_whiskers_and_fliers_follow_the_tukey_fences(tmp_path):
