@@ -33,6 +33,9 @@ DEFAULT_THETA = 0.95
 DEFAULT_BRIDGE_NODES = 1001
 
 _MC_CHUNK = 256
+#: Normals drawn per Monte Carlo block: a chunk draws max(1, _MC_BLOCK // (L * steps))
+#: samples at a time, so its temporaries stay near this size whatever L is.
+_MC_BLOCK = 1 << 16
 
 METHOD_BAYES = "bayes-clr"
 METHOD_L2 = "l2-raw"
@@ -145,7 +148,9 @@ class CusumProfile:
 class CovarianceEigen:
     """Spectrum of the residual covariance operator on the grid.
 
-    ``eigenvalues`` is the full clipped spectrum, descending.
+    ``eigenvalues`` is the clipped spectrum, descending, of length
+    min(n, m) for n residual rows on m grid nodes: the operator has rank
+    at most n, so its other m - n eigenvalues are zero and left out.
     ``truncation`` is the smallest leading count whose cumulative
     eigenvalue share reaches ``theta``.
     """
@@ -227,12 +232,14 @@ def _covariance_eigen_from_matrix(
     """Clipped spectrum of the covariance operator of residual rows ``res``.
 
     The integral operator with kernel C(t, s) = (1/n) sum_i e_i(t) e_i(s)
-    is discretized with trapezoid weights W and solved as the symmetric
-    problem W^(1/2) C W^(1/2).
+    is discretized with trapezoid weights W as the symmetric problem
+    W^(1/2) C W^(1/2) = A^T A / n, where A = res W^(1/2).  Its nonzero
+    eigenvalues are those of the Gram matrix A A^T / n, so the smaller of
+    the two is solved, for eigenvalues only.
     """
-    cov = (res.T @ res) / res.shape[0]
-    sqrt_w = np.sqrt(weights)
-    evals = np.linalg.eigh(cov * np.outer(sqrt_w, sqrt_w))[0][::-1]
+    a = res * np.sqrt(weights)
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    evals = np.linalg.eigvalsh(gram / a.shape[0])[::-1]
     leading = float(evals[0]) if evals.size else 0.0
     if leading <= 0.0:
         return CovarianceEigen(eigenvalues=np.zeros_like(evals), truncation=0)
@@ -246,15 +253,32 @@ def _covariance_eigen_from_matrix(
 def _simulate_chunk(
     lambdas: np.ndarray, count: int, bridge_nodes: int, chunk_seed: int
 ) -> np.ndarray:
+    """Limit samples for one chunk, drawn and reduced ``block`` samples at a time.
+
+    ``standard_normal`` fills its output in sample order, so the blocks
+    consume the chunk's normals in the same order as one (count, L, steps)
+    draw would, and give bit-identical samples in bounded memory.
+    """
     rng = np.random.default_rng(chunk_seed)
     steps = bridge_nodes - 1
     dt = 1.0 / steps
+    sqrt_dt = np.sqrt(dt)
     t = np.arange(1, bridge_nodes) * dt
-    incr = rng.standard_normal((count, lambdas.size, steps)) * np.sqrt(dt)
-    walk = np.cumsum(incr, axis=2)
-    bridge = walk - t[None, None, :] * walk[:, :, -1:]
-    weighted = np.einsum("l,klj->kj", lambdas, bridge * bridge)
-    return weighted.max(axis=1)
+    block = min(count, max(1, _MC_BLOCK // (lambdas.size * steps)))
+    walk = np.empty((block, lambdas.size, steps))
+    weighted = np.empty((block, steps))
+    out = np.empty(count)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        w, s = walk[: stop - start], weighted[: stop - start]
+        rng.standard_normal(out=w)
+        w *= sqrt_dt
+        np.cumsum(w, axis=2, out=w)
+        w -= t * w[:, :, -1:]  # pin the walk into a bridge
+        np.square(w, out=w)
+        np.einsum("l,klj->kj", lambdas, w, out=s)
+        s.max(axis=1, out=out[start:stop])
+    return out
 
 
 def simulate_limit_samples(

@@ -9,8 +9,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as _dt
+import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from .ingestion import IngestionReport, RawSeries
 from .simlab import ExperimentReport
 
 _GRID_REL_TOL = 1e-9
+#: ASCII separators that ``np.loadtxt`` strips as cell padding and ``float`` refuses.
+_LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 TIMESTAMP_FORMATS = ("iso", "epoch")
 
@@ -67,6 +71,29 @@ def _numbered_rows(fh):
             yield reader.line_num, row
 
 
+def _grid_from_row(nodes: np.ndarray, line: int) -> Grid:
+    if nodes.size < 16:
+        raise CsvFormatError(line, f"grid needs >= 16 nodes, got {nodes.size}")
+    grid = Grid(nodes.size)
+    if not np.allclose(nodes, grid.nodes, rtol=0.0, atol=_GRID_REL_TOL):
+        raise CsvFormatError(line, "grid row is not a uniform partition of [0, 1]")
+    return grid
+
+
+def _bulk_table(raw: bytes) -> np.ndarray | None:
+    """The file as one float matrix, or None where ``np.loadtxt`` refuses
+    it or could read it more leniently than ``float`` reads a cell."""
+    if any(c in raw for c in _LOADTXT_ONLY_SPACE):
+        return None
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
 def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     """Parse a density CSV into its grid and read-only (n, m) value matrix;
     a file holding only its grid row gives n = 0.
@@ -74,18 +101,30 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     Every problem raises :class:`CsvFormatError` with the line number of
     the first bad line, whether it fails to parse or fails validation.
     Blank lines are skipped but still counted.
+
+    The file is parsed in one bulk pass first.  A file that pass refuses,
+    or whose grid or rows fail their checks, is read again row by row, so
+    every error comes from the row reader.
     """
+    with open(path, "rb") as fh:
+        table = _bulk_table(fh.read())
+    if table is not None and len(table):
+        try:
+            grid = _grid_from_row(table[0], 1)
+            return grid, check_density_rows(grid, table[1:])
+        except BayesCpdError:
+            pass  # the row reader names the line and the problem
+    return _read_density_rows(path)
+
+
+def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
+    """The row-by-row reader behind :func:`read_density_csv`."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(_numbered_rows(fh))
     if not rows:
         raise CsvFormatError(1, "need a grid row")
     grid_line, grid_row = rows[0]
-    nodes = _parse_float_row(grid_row, grid_line)
-    if nodes.size < 16:
-        raise CsvFormatError(grid_line, f"grid needs >= 16 nodes, got {nodes.size}")
-    grid = Grid(nodes.size)
-    if not np.allclose(nodes, grid.nodes, rtol=0.0, atol=_GRID_REL_TOL):
-        raise CsvFormatError(grid_line, "grid row is not a uniform partition of [0, 1]")
+    grid = _grid_from_row(_parse_float_row(grid_row, grid_line), grid_line)
     parsed, lines = [], []
     for line, row in rows[1:]:
         try:

@@ -15,6 +15,7 @@ from bayes_cpd import (
     zero_avoid,
 )
 from bayes_cpd.density import normalize_rows, zero_avoid_rows
+from bayes_cpd.engine import EIGENVALUE_CLIP_RATIO
 from bayes_cpd.errors import StructuralError
 
 
@@ -92,3 +93,35 @@ def scalar_cusum_statistic(values) -> float:
     prefix = np.cumsum(values)
     frac = np.arange(1, values.size + 1) / values.size
     return float(np.abs((prefix - frac * prefix[-1]) / np.sqrt(values.size)).max())
+
+
+def reference_simulate_chunk(lambdas: np.ndarray, count: int, bridge_nodes: int,
+                             chunk_seed: int) -> np.ndarray:
+    """Reference for ``engine._simulate_chunk``: one (count, L, steps) draw,
+    reduced whole.  Its temporaries grow as count x L x steps doubles."""
+    rng = np.random.default_rng(chunk_seed)
+    steps = bridge_nodes - 1
+    dt = 1.0 / steps
+    t = np.arange(1, bridge_nodes) * dt
+    incr = rng.standard_normal((count, lambdas.size, steps)) * np.sqrt(dt)
+    walk = np.cumsum(incr, axis=2)
+    bridge = walk - t[None, None, :] * walk[:, :, -1:]
+    weighted = np.einsum("l,klj->kj", lambdas, bridge * bridge)
+    return weighted.max(axis=1)
+
+
+def dense_covariance_eigen(res: np.ndarray, weights: np.ndarray,
+                           theta: float) -> tuple[np.ndarray, int]:
+    """Reference for ``engine._covariance_eigen_from_matrix``: the full m x m
+    problem W^(1/2) C W^(1/2) solved by ``eigh``, with the same clip and
+    truncation rules.  Returns (clipped spectrum of length m, truncation)."""
+    cov = (res.T @ res) / res.shape[0]
+    sqrt_w = np.sqrt(weights)
+    evals = np.linalg.eigh(cov * np.outer(sqrt_w, sqrt_w))[0][::-1]
+    leading = float(evals[0])
+    if leading <= 0.0:
+        return np.zeros_like(evals), 0
+    clipped = np.where(evals < EIGENVALUE_CLIP_RATIO * leading, 0.0, evals)
+    cumulative = np.cumsum(clipped) / clipped.sum()
+    truncation = int(np.searchsorted(cumulative, theta)) + 1
+    return clipped, min(truncation, int(np.count_nonzero(clipped)))

@@ -18,11 +18,25 @@ from bayes_cpd import (
     simulate_limit_samples,
     zero_avoid,
 )
-from bayes_cpd.engine import _covariance_eigen_from_matrix, _residual_matrix, mean_increment
+from bayes_cpd import engine
+from bayes_cpd.engine import (
+    _covariance_eigen_from_matrix,
+    _method_matrix,
+    _residual_matrix,
+    _simulate_chunk,
+    mean_increment,
+)
 from bayes_cpd.errors import DegenerateInputError, DomainError, NumericError, StructuralError
 from bayes_cpd.simlab import gen_model1, gen_sim1
 
-from helpers import constant_sequence, random_beta, random_sequence, two_segment_sequence
+from helpers import (
+    constant_sequence,
+    dense_covariance_eigen,
+    random_beta,
+    random_sequence,
+    reference_simulate_chunk,
+    two_segment_sequence,
+)
 
 
 def bayes_cusum_oracle(seq, k):
@@ -217,6 +231,21 @@ class TestCovarianceEigen:
             assert share[L - 2] < 0.95
         np.testing.assert_array_equal(eig.retained(), eig.eigenvalues[:L])
 
+    @pytest.mark.parametrize("theta", [0.95, 1.0])
+    @pytest.mark.parametrize("method", ["bayes-clr", "l2-raw"])
+    @pytest.mark.parametrize("centering", ["global", "segmented"])
+    @pytest.mark.parametrize("n", [8, 16, 40], ids=["n<m", "n=m", "n>m"])
+    def test_smaller_problem_matches_dense_eigh(self, n, centering, method, theta):
+        grid = Grid(16)
+        seq = random_sequence(grid, np.random.default_rng(1000 + n), n)
+        res = _residual_matrix(_method_matrix(seq, method), centering, n // 2)
+        eig = _covariance_eigen_from_matrix(res, grid.weights, theta)
+        ref, ref_truncation = dense_covariance_eigen(res, grid.weights, theta)
+        assert eig.eigenvalues.size == min(n, grid.node_count)
+        assert eig.truncation == ref_truncation > 0
+        np.testing.assert_allclose(eig.retained(), ref[:ref_truncation],
+                                   rtol=0.0, atol=1e-12 * ref[0])
+
 
 def kolmogorov_quantile(p):
     """Invert P(sup|B| <= x) = 1 - 2 sum (-1)^(k-1) exp(-2 k^2 x^2)."""
@@ -246,6 +275,41 @@ class TestLimitSimulation:
         samples = simulate_limit_samples([1.0], 20000, bridge_nodes=2001, seed=77, threads=2)
         emp = float(np.percentile(np.sqrt(samples), 95))
         assert emp == pytest.approx(kolmogorov_quantile(0.95), rel=0.025)
+
+    @pytest.mark.parametrize("bridge_nodes", [64, 1001])
+    @pytest.mark.parametrize("count", [256, 208])
+    @pytest.mark.parametrize("L", [1, 3, 10, 28])
+    def test_blocked_chunk_is_bit_identical_to_one_draw(self, monkeypatch, L, count,
+                                                         bridge_nodes):
+        # 3-sample blocks: many blocks, and a 1-sample last block at both counts
+        monkeypatch.setattr(engine, "_MC_BLOCK", 3 * L * (bridge_nodes - 1))
+        lambdas = np.linspace(1.0, 0.05, L)
+        got = _simulate_chunk(lambdas, count, bridge_nodes, 1234 + L)
+        assert np.array_equal(got, reference_simulate_chunk(lambdas, count, bridge_nodes,
+                                                            1234 + L))
+
+    @pytest.mark.parametrize("L", [3, 299])
+    def test_chunk_draws_stay_within_one_block(self, monkeypatch, L):
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class RecordingGenerator:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                drawn.append(np.shape(out) if out is not None else size)
+                return self._rng.standard_normal(size, dtype, out)
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+        lambdas, count, bridge_nodes = np.linspace(1.0, 0.01, L), 5, 1001
+        per_sample = L * (bridge_nodes - 1)
+        got = _simulate_chunk(lambdas, count, bridge_nodes, 7)
+        monkeypatch.undo()
+        sizes = [int(np.prod(shape)) for shape in drawn]
+        assert max(sizes) <= max(engine._MC_BLOCK, per_sample)
+        assert sum(sizes) == count * per_sample
+        assert np.array_equal(got, reference_simulate_chunk(lambdas, count, bridge_nodes, 7))
 
     def test_empty_eigenvalues_rejected(self):
         with pytest.raises(DegenerateInputError):

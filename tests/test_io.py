@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,10 @@ from bayes_cpd import (
     simlab,
     zero_avoid,
 )
+from bayes_cpd import io as bio
+from bayes_cpd.cli import main
 from bayes_cpd.io import (
+    _read_density_rows,
     detection_result_to_dict,
     dump_json,
     experiment_report_to_dict,
@@ -185,6 +189,93 @@ def test_density_lines_counted_through_blank_lines(tmp_path, bad, problem):
     with pytest.raises(CsvFormatError, match=problem) as info:
         read_density_csv(path)
     assert info.value.line == 6
+
+
+_GRID16 = Grid(16)
+_HEADER = ",".join(repr(float(x)) for x in _GRID16.nodes)
+_CELLS = [repr(float(v)) for v in zero_avoid(beta_density(_GRID16, 4.0, 6.0)).values]
+_MID = _CELLS[8]  # an ordinary "d.ddd..." cell
+
+
+def _density_file(*rows: list[str], end: str = "\n") -> str:
+    return end.join([_HEADER, *(",".join(r) for r in rows)]) + end
+
+
+def _with_cell(cell: str) -> list[str]:
+    return _CELLS[:8] + [cell] + _CELLS[9:]
+
+
+_GOOD = _density_file(_CELLS, _CELLS, _CELLS)
+_INSERTED = "\n".join([_HEADER, ",".join(_CELLS), "{}", ",".join(_CELLS)]) + "\n"
+
+# (file text, None for a valid file or the row reader's error)
+_DIFFERENTIAL_CASES = {
+    "whitespace-line": (_INSERTED.format("   "), "line 3: non-numeric cell"),
+    "tab-line": (_INSERTED.format("\t"), "line 3: non-numeric cell"),
+    "hash-line": (_INSERTED.format("# a comment"), "line 3: non-numeric cell"),
+    "quoted-cell": (_density_file(_with_cell(f'"{_MID}"'), _CELLS), None),
+    "padded-cell": (_density_file(_with_cell(f"  {_MID} "), _CELLS), None),
+    "plus-sign": (_density_file(_with_cell(f"+{_MID}"), _CELLS), None),
+    "underscore-digits": (_density_file(_with_cell(f"{_MID[:3]}_{_MID[3:]}"), _CELLS), None),
+    "fortran-exponent": (_density_file(_with_cell("1.0d0"), _CELLS), "line 2: non-numeric cell"),
+    "separator-padding": (_density_file(_CELLS, _with_cell(f"\x1c{_MID}")),
+                          "line 3: non-numeric cell"),
+    "trailing-comma": (_density_file(_CELLS, _CELLS + [""]), "line 3: non-numeric cell"),
+    "crlf": (_density_file(_CELLS, _CELLS, end="\r\n"), None),
+    "lone-cr": (_density_file(_CELLS, _CELLS, end="\r"), None),
+    "blank-lines": ("\n" + _INSERTED.format(""), None),
+    "bom": ("\ufeff" + _GOOD, "line 1: non-numeric cell"),
+    "ragged-row": (_density_file(_CELLS, _CELLS[:-1]), "line 3: expected 16 values, got 15"),
+    "non-finite": (_density_file(_CELLS, _with_cell("nan")),
+                   "line 3: invalid density row 2: non-finite"),
+    "grid-only": (_HEADER + "\n", None),
+    "empty": ("", "line 1: need a grid row"),
+    "blank-only": ("\n\r\n\n", "line 1: need a grid row"),
+}
+
+
+@pytest.mark.parametrize("text, problem", _DIFFERENTIAL_CASES.values(),
+                         ids=_DIFFERENTIAL_CASES.keys())
+def test_bulk_density_parse_agrees_with_row_reader(tmp_path, text, problem):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for read in (read_density_csv, _read_density_rows):
+        try:
+            grid, values = read(path)
+            outcomes.append((grid.node_count, values.shape, values.tobytes()))
+        except CsvFormatError as exc:
+            outcomes.append((exc.line, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if problem is None:
+        assert outcomes[0][0] == 16
+    else:
+        assert outcomes[0][1].startswith(problem)
+
+
+@pytest.mark.parametrize("text, rows", [
+    (_GOOD, 3), (_density_file(_CELLS, end="\r\n"), 1), (_HEADER + "\n", 0),
+], ids=["lf", "crlf", "grid-only"])
+def test_well_formed_density_csv_is_read_in_one_pass(tmp_path, monkeypatch, text, rows):
+    def row_reader(path):
+        raise AssertionError("the row reader ran on a well-formed file")
+
+    monkeypatch.setattr(bio, "_read_density_rows", row_reader)
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    grid, values = read_density_csv(path)
+    assert grid == _GRID16 and values.shape == (rows, 16)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-only"])
+def test_detect_on_a_file_without_data_reports_only_the_error(tmp_path, capsys, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["detect", str(path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: line 1: need a grid row\n"
 
 
 def test_raw_series_lines_counted_through_blank_lines(tmp_path):
