@@ -32,7 +32,7 @@ from .engine import (
     detect,
 )
 from .errors import BayesCpdError, DegenerateInputError, StructuralError
-from .ingestion import IngestConfig, build_sequence
+from .ingestion import IngestConfig, SupportEstimate, build_sequence
 from .simlab import GENERATORS, ExperimentConfig, replicate_sequence, run_experiment
 from .seeds import resolve_threads
 
@@ -64,6 +64,18 @@ def _bandwidth(text: str) -> float | None:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
+def _support(text: str) -> SupportEstimate:
+    """``--support``: the checked support of ``LOW:HIGH``."""
+    try:
+        lower, upper = (float(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LOW:HIGH, got {text!r}") from None
+    try:
+        return SupportEstimate(lower, upper)
+    except StructuralError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_detection_options(p: argparse.ArgumentParser) -> None:
@@ -182,21 +194,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.out is None:
         raise StructuralError("ingest needs --out")
     _check_outputs(args.out, args.report)
-    support = None
-    if args.support is not None:
-        try:
-            lo, hi = (float(part) for part in args.support.split(":"))
-        except ValueError:
-            raise StructuralError(
-                f"--support must look like LOW:HIGH, got {args.support!r}"
-            ) from None
-        support = (lo, hi)
     series = bio.read_raw_series_csv(args.raw_csv, args.timestamp_format)
     config = IngestConfig(
         window_seconds=args.window_seconds, whisker=args.whisker,
         margin_fraction=args.margin, grid_nodes=args.grid_nodes,
         bandwidth=args.bandwidth,
-        min_count=args.min_count, support=support,
+        min_count=args.min_count, support=args.support,
         threads=resolve_threads(args.threads),
     )
     seq, report = build_sequence(series, config)
@@ -293,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="KDE bandwidth, a number or 'auto' (Silverman)")
     p.add_argument("--min-count", type=int, default=IngestConfig.min_count,
                    help="minimum samples per retained segment")
-    p.add_argument("--support", help="externally estimated support as LOW:HIGH")
+    p.add_argument("--support", type=_support,
+                   help="externally estimated support as LOW:HIGH")
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--out", help=density_out_help)
     p.add_argument("--report", help="write the ingestion report JSON here instead of stdout")

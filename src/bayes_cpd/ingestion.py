@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,14 +59,10 @@ class RawSeries:
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
 
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
 
 @dataclass(frozen=True)
 class SupportEstimate:
-    """Common support of the feature values, with a symmetric margin.
+    """Common support ``[lower, upper]`` of the feature values.
 
     Finite bounds with ``lower < upper`` are a precondition
     (:class:`StructuralError`, a usage error); support estimated from data
@@ -75,7 +71,6 @@ class SupportEstimate:
 
     lower: float
     upper: float
-    margin_fraction: float
 
     def __post_init__(self):
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -97,8 +92,7 @@ def estimate_support(values, margin_fraction: float = DEFAULT_MARGIN_FRACTION) -
     if lo == hi:
         raise DegenerateInputError("all values equal; support is degenerate")
     span = hi - lo
-    return SupportEstimate(lo - margin_fraction * span, hi + margin_fraction * span,
-                           margin_fraction)
+    return SupportEstimate(lo - margin_fraction * span, hi + margin_fraction * span)
 
 
 def normalize(values, support: SupportEstimate) -> np.ndarray:
@@ -139,7 +133,10 @@ def segment(
     if min_count < 1:
         raise StructuralError(f"min_count must be >= 1, got {min_count}")
     t0 = series.timestamps[0]
-    window_ids = np.floor((series.timestamps - t0) / window_seconds).astype(np.int64)
+    window_ids = np.floor((series.timestamps - t0) / window_seconds)
+    if not window_ids[-1] < 2.0 ** 63:
+        raise StructuralError(f"window of {window_seconds} s gives more windows than int64 counts")
+    window_ids = window_ids.astype(np.int64)
     # Timestamps are non-decreasing, so each window is one contiguous run.
     bounds = np.searchsorted(window_ids, np.arange(window_ids[-1] + 2))
     segments, indices, dropped = [], [], []
@@ -243,7 +240,7 @@ class IngestConfig:
     grid_nodes: int = DEFAULT_NODE_COUNT
     bandwidth: float | None = None  # None = Silverman per segment
     min_count: int = DEFAULT_MIN_SEGMENT_COUNT
-    support: tuple[float, float] | None = None  # externally estimated, optional
+    support: SupportEstimate | None = None  # externally estimated, optional
     threads: int = 1
 
 
@@ -256,7 +253,7 @@ class IngestionReport:
     scalar_outliers_removed: int
     clamped_values: int
     support: SupportEstimate
-    bandwidth_per_segment: list[float] = field(default_factory=list)
+    bandwidth_per_segment: list[float]
 
 
 def build_sequence(
@@ -267,19 +264,10 @@ def build_sequence(
     grid = Grid(config.grid_nodes)
 
     keep = boxplot_keep_mask(series.values, config.whisker)
-    removed = int(np.count_nonzero(~keep))
-    filtered = RawSeries(series.timestamps[keep], series.values[keep])
-
-    if config.support is not None:
-        lo, hi = config.support
-        support = SupportEstimate(lo, hi, 0.0)
-    else:
-        support = estimate_support(filtered.values, config.margin_fraction)
-    clamped = count_outside_support(filtered.values, support)
-    unit = normalize(filtered.values, support)
-
-    seg = segment(RawSeries(filtered.timestamps, unit), config.window_seconds,
-                  config.min_count)
+    values = series.values[keep]
+    support = config.support or estimate_support(values, config.margin_fraction)
+    seg = segment(RawSeries(series.timestamps[keep], normalize(values, support)),
+                  config.window_seconds, config.min_count)
     if len(seg.segments) < 4:
         raise DegenerateInputError(
             f"only {len(seg.segments)} usable segments; need at least 4"
@@ -293,17 +281,18 @@ def build_sequence(
         config.bandwidth if config.bandwidth is not None else silverman_bandwidth(v)
         for v in seg.segments
     ]
-    densities = parallel_map(
-        lambda i: kde(seg.segments[i], grid, bandwidths[i]),
-        range(len(seg.segments)),
-        config.threads,
-    )
+    rows = np.empty((len(seg.segments), grid.node_count))
+
+    def fill(i: int) -> None:
+        rows[i] = kde(seg.segments[i], grid, bandwidths[i]).values
+
+    parallel_map(fill, range(len(seg.segments)), config.threads)
     report = IngestionReport(
         segments_total=len(seg.segments) + len(seg.dropped),
         segments_dropped=seg.dropped,
-        scalar_outliers_removed=removed,
-        clamped_values=clamped,
+        scalar_outliers_removed=int(np.count_nonzero(~keep)),
+        clamped_values=count_outside_support(values, support),
         support=support,
         bandwidth_per_segment=[float(b) for b in bandwidths],
     )
-    return DistributionalSequence.from_densities(densities), report
+    return DistributionalSequence(grid, rows), report

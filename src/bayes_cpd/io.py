@@ -297,8 +297,7 @@ def cleaning_report_to_dict(report: CleaningReport) -> dict:
 
 
 def ingestion_report_to_dict(report: IngestionReport) -> dict:
-    support = {"lower": report.support.lower, "upper": report.support.upper}
-    return {**_fields(report), "support": support}
+    return {**_fields(report), "support": _fields(report.support)}
 
 
 def experiment_report_to_dict(report: ExperimentReport) -> dict:

@@ -46,8 +46,8 @@ MODEL2_MEAN = 0.45
 
 
 def _validate_break(n: int, k_star: int) -> None:
-    if not 1 <= k_star < n:
-        raise StructuralError(f"need 1 <= k_star < n, got k_star={k_star}, n={n}")
+    if not (n >= 4 and 1 <= k_star < n):
+        raise StructuralError(f"need n >= 4 and 1 <= k_star < n, got k_star={k_star}, n={n}")
 
 
 def _beta_rows(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:

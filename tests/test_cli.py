@@ -282,12 +282,21 @@ class TestIngestCommand:
         assert "lower < upper" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_user_support_exit_two_before_input_is_read(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,value\n0,not-a-number\n")
+        assert main(["ingest", str(raw), "--timestamp-format", "epoch",
+                     "--support", "5:1", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "lower < upper" in err and "line 2" not in err
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--whisker", "nan", "whisker"),
         ("--bandwidth", "nan", "bandwidth"),
         ("--bandwidth", "inf", "bandwidth"),
         ("--bandwidth", "1e-5", "bandwidth"),
         ("--window-seconds", "nan", "window"),
+        ("--window-seconds", "1e-300", "window"),
         ("--support", "1:inf", "support"),
         ("--margin", "nan", "margin"),
         ("--margin", "inf", "margin"),
@@ -612,6 +621,16 @@ class TestDeterminism:
             payloads.append((out_dir / "report.json").read_bytes()
                             + (out_dir / "replicates.csv").read_bytes()
                             + (out_dir / "boxplot.csv").read_bytes())
+        assert payloads[0] == payloads[1]
+
+    def test_ingest_byte_identical_across_thread_counts(self, tmp_path):
+        raw = _write_series(tmp_path)
+        payloads = []
+        for threads in ("1", "2"):
+            out, rep = tmp_path / f"d{threads}.csv", tmp_path / f"r{threads}.json"
+            assert main(["ingest", str(raw), "--timestamp-format", "epoch", "--threads", threads,
+                         "--out", str(out), "--report", str(rep)]) == 0
+            payloads.append(out.read_bytes() + rep.read_bytes())
         assert payloads[0] == payloads[1]
 
     def test_bad_threads_env_var_exit_two(self, sim_csv, tmp_path, monkeypatch, capsys):

@@ -133,7 +133,7 @@ class TestSupport:
                                               (float("nan"), 1.0)])
     def test_non_finite_bounds_rejected(self, lower, upper):
         with pytest.raises(StructuralError, match="support bounds must be finite"):
-            SupportEstimate(lower, upper, 0.0)
+            SupportEstimate(lower, upper)
 
     def test_positive_margin_keeps_data_interior(self):
         rng = np.random.default_rng(8)
@@ -145,18 +145,18 @@ class TestSupport:
 
 class TestNormalize:
     def test_endpoints_and_midpoint(self):
-        sup = SupportEstimate(2.0, 4.0, 0.0)
+        sup = SupportEstimate(2.0, 4.0)
         np.testing.assert_allclose(normalize([2.0, 3.0, 4.0], sup), [0.0, 0.5, 1.0])
 
     def test_round_trip(self):
         rng = np.random.default_rng(9)
-        sup = SupportEstimate(-1.5, 7.25, 0.05)
+        sup = SupportEstimate(-1.5, 7.25)
         values = rng.uniform(-1.5, 7.25, 300)
         back = sup.lower + normalize(values, sup) * (sup.upper - sup.lower)
         np.testing.assert_allclose(back, values, atol=1e-12)
 
     def test_clamping_counted(self):
-        sup = SupportEstimate(0.0, 1.0, 0.0)
+        sup = SupportEstimate(0.0, 1.0)
         values = np.array([-0.5, 0.5, 1.5, 0.2])
         assert count_outside_support(values, sup) == 2
         unit = normalize(values, sup)
@@ -294,7 +294,7 @@ class TestBuildSequence:
 
     def test_external_support_covers_everything(self):
         series = synth_series(5, n_days=6, switch_day=6)
-        cfg = IngestConfig(support=(0.0, 10.0))
+        cfg = IngestConfig(support=SupportEstimate(0.0, 10.0))
         _, report = build_sequence(series, cfg)
         assert report.clamped_values == 0
         assert (report.support.lower, report.support.upper) == (0.0, 10.0)

@@ -232,7 +232,8 @@ class TestRunExperiment:
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="nope")
 
-    @pytest.mark.parametrize("bad", [{"alpha": 1.5}, {"theta": 2.0}, {"mc_samples": 0}])
+    @pytest.mark.parametrize("bad", [{"alpha": 1.5}, {"theta": 2.0}, {"mc_samples": 0},
+                                     {"n": 3, "k_star": 1}])
     def test_invalid_settings_rejected_before_any_replicate(self, bad):
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="model1", **bad)
