@@ -6,13 +6,15 @@ so identical results serialize to identical bytes.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import datetime as _dt
 import io
+import itertools
 import json
 import math
-import warnings
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,9 @@ from .simlab import ExperimentReport
 _GRID_REL_TOL = 1e-9
 #: ASCII separators that ``np.loadtxt`` strips as cell padding and ``float`` refuses.
 _LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+#: Bytes of a CSV file read at once by the block parse.
+_RAW_BLOCK_BYTES = 1 << 20
+_LINE_ENDS = re.compile(rb"[\r\n]*")
 
 TIMESTAMP_FORMATS = ("iso", "epoch")
 
@@ -63,6 +68,11 @@ def _checked_rows(grid: Grid, rows: list[np.ndarray], lines: list[int]) -> np.nd
         raise CsvFormatError(lines[exc.row - 1], f"invalid {exc}") from None
 
 
+def _open_text(path):
+    """``path`` opened for ``csv``; a leading UTF-8 byte-order mark is dropped."""
+    return open(path, "r", newline="", encoding="utf-8-sig")
+
+
 def _numbered_rows(fh):
     """Yield each non-blank CSV record with the physical line it ends on."""
     reader = csv.reader(fh)
@@ -80,18 +90,52 @@ def _grid_from_row(nodes: np.ndarray, line: int) -> Grid:
     return grid
 
 
-def _bulk_table(raw: bytes) -> np.ndarray | None:
-    """The file as one float matrix, or None where ``np.loadtxt`` refuses
-    it or could read it more leniently than ``float`` reads a cell."""
-    if any(c in raw for c in _LOADTXT_ONLY_SPACE):
-        return None
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
+def _line_blocks(fh):
+    """Yield the bytes of binary handle ``fh``, less a leading UTF-8
+    byte-order mark, in blocks of about ``_RAW_BLOCK_BYTES`` cut after
+    their last line end.
+
+    A block is at most one read plus the unfinished line carried from the
+    one before.  A CR that ends a read is carried too: the next read may
+    begin with its LF.
+    """
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    carry = b""
+    while chunk := fh.read(_RAW_BLOCK_BYTES):
+        data = carry + chunk
+        end = len(data) - data.endswith(b"\r")
+        lf = data.rfind(b"\n", 0, end)
+        cut = max(lf, data.rfind(b"\r", lf + 1, end)) + 1  # past the last LF, only a CR
+        if cut:
+            yield data[:cut]
+        carry = data[cut:]
+    if carry:
+        yield carry
+
+
+def _float_blocks(blocks, columns: int | None) -> list[np.ndarray] | None:
+    """One float matrix of ``columns`` columns per block holding data
+    (the first such block's width when ``columns`` is None), or None where
+    ``np.loadtxt`` refuses a block or could read it more leniently than
+    ``float`` reads a cell.
+    """
+    tables = []
+    for block in blocks:
+        if _LINE_ENDS.fullmatch(block):
+            continue  # blank lines only, which np.loadtxt would warn of
+        if any(c in block for c in _LOADTXT_ONLY_SPACE):
+            return None
+        try:  # decoded as read: a str of the block could take 4 bytes a character
+            text = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
+            table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        columns = columns or table.shape[1]
+        if table.shape[1] != columns:
+            return None
+        tables.append(table)
+    return tables
 
 
 def read_density_csv(path) -> tuple[Grid, np.ndarray]:
@@ -102,13 +146,14 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     the first bad line, whether it fails to parse or fails validation.
     Blank lines are skipped but still counted.
 
-    The file is parsed in one bulk pass first.  A file that pass refuses,
-    or whose grid or rows fail their checks, is read again row by row, so
+    The file is parsed in blocks first.  A file that parse refuses, or
+    whose grid or rows fail their checks, is read again row by row, so
     every error comes from the row reader.
     """
     with open(path, "rb") as fh:
-        table = _bulk_table(fh.read())
-    if table is not None and len(table):
+        tables = _float_blocks(_line_blocks(fh), None)
+    if tables:
+        table = np.concatenate(tables)
         try:
             grid = _grid_from_row(table[0], 1)
             return grid, check_density_rows(grid, table[1:])
@@ -119,7 +164,7 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
 
 def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
     """The row-by-row reader behind :func:`read_density_csv`."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         rows = list(_numbered_rows(fh))
     if not rows:
         raise CsvFormatError(1, "need a grid row")
@@ -158,14 +203,95 @@ def _parse_timestamp(cell: str, timestamp_format: str, line: int) -> float:
         raise CsvFormatError(line, f"bad {timestamp_format} timestamp {cell!r}") from None
 
 
+def _is_raw_header(cells: list[str]) -> bool:
+    return [c.strip().lower() for c in cells] == ["timestamp", "value"]
+
+
+#: The first non-blank line of a raw series CSV and its line end.
+_HEADER_LINE = re.compile(rb"[\r\n]*([^\r\n]*)(?:\r\n?|\n)?")
+#: Naive ISO records ``YYYY-MM-DD[T ]HH:MM:SS[.fff[fff]],value``, each
+#: ending in LF.  ``datetime.fromisoformat`` (Python 3.10 on) and
+#: ``np.datetime64`` read these timestamps alike and refuse the same
+#: impossible dates; ``float`` still judges each value.
+_ISO_RECORDS = re.compile(
+    rb"(?:\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?:\.\d{3}(?:\d{3})?)?,[-+.\deE]+\n)*"
+)
+
+
 def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
+    """Parse a raw series CSV: the header ``timestamp,value``, then one
+    sample per record.  An ISO timestamp without an offset is UTC.
+
+    The first bad record raises :class:`CsvFormatError` with its physical
+    line; blank lines are skipped but still counted.
+
+    The file is parsed in blocks first: epoch files by ``np.loadtxt``,
+    ISO files whose every record matches ``_ISO_RECORDS`` by numpy's
+    datetime parse.  A file that parse refuses, or whose samples fail the
+    checks of :class:`RawSeries`, is read again row by row, so every error
+    comes from the row reader.
+    """
     if timestamp_format not in TIMESTAMP_FORMATS:
         raise StructuralError(f"timestamp_format must be iso|epoch, got {timestamp_format!r}")
+    columns = _raw_block_columns(path, timestamp_format)
+    if columns is not None:
+        try:
+            return RawSeries(*columns)
+        except StructuralError:
+            pass  # the row reader names the line and the problem
+    return _read_raw_rows(path, timestamp_format)
+
+
+def _raw_block_columns(path, timestamp_format: str) -> list[np.ndarray] | None:
+    """Timestamps and values of a raw series CSV by the block parse, or
+    None where that parse refuses the file."""
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh)
+        first = next(blocks, b"")
+        header = _HEADER_LINE.match(first)
+        if not _is_raw_header(header[1].decode("utf-8", "replace").split(",")):
+            return None
+        blocks = itertools.chain([first[header.end():]], blocks)
+        if timestamp_format == "epoch":
+            tables = _float_blocks(blocks, 2)
+            if not tables:
+                return None
+            return [np.concatenate([table[:, j] for table in tables]) for j in (0, 1)]
+        parts = []
+        for block in blocks:
+            part = _iso_columns(block)
+            if part is None:
+                return None
+            parts.append(part)
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _iso_columns(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Epoch seconds and values of a block of ``_ISO_RECORDS``, or None
+    where any line is not one."""
+    lines = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if lines and not lines.endswith(b"\n"):
+        lines += b"\n"  # the last record of the file
+    if not _ISO_RECORDS.fullmatch(lines):
+        return None
+    cells = lines.replace(b",", b"\n").split(b"\n")[:-1]
+    try:
+        micros = np.array(cells[0::2], dtype="datetime64[us]").astype(np.int64)
+        values = np.fromiter(map(float, cells[1::2]), np.float64, micros.size)
+    except ValueError:
+        return None
+    if np.abs(micros).max(initial=0) > 2**53:
+        return None  # past float64's exact integers, some 285 years from 1970
+    return micros / 1e6, values
+
+
+def _read_raw_rows(path, timestamp_format: str) -> RawSeries:
+    """The row-by-row reader behind :func:`read_raw_series_csv`."""
     timestamps, values = [], []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         rows = _numbered_rows(fh)
         line, header = next(rows, (1, []))
-        if [c.strip().lower() for c in header] != ["timestamp", "value"]:
+        if not _is_raw_header(header):
             raise CsvFormatError(line, 'expected header "timestamp,value"')
         for line, row in rows:
             if len(row) != 2:
@@ -187,7 +313,7 @@ def _record_line(path, record: int) -> int:
 
     Read again on the error path only, so parsing keeps no per-row lines.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for i, (line, _) in enumerate(_numbered_rows(fh)):
             if i == record:
                 return line
