@@ -209,13 +209,6 @@ def _is_raw_header(cells: list[str]) -> bool:
 
 #: The first non-blank line of a raw series CSV and its line end.
 _HEADER_LINE = re.compile(rb"[\r\n]*([^\r\n]*)(?:\r\n?|\n)?")
-#: Naive ISO records ``YYYY-MM-DD[T ]HH:MM:SS[.fff[fff]],value``, each
-#: ending in LF.  ``datetime.fromisoformat`` (Python 3.10 on) and
-#: ``np.datetime64`` read these timestamps alike and refuse the same
-#: impossible dates; ``float`` still judges each value.
-_ISO_RECORDS = re.compile(
-    rb"(?:\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?:\.\d{3}(?:\d{3})?)?,[-+.\deE]+\n)*"
-)
 
 
 def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
@@ -225,64 +218,36 @@ def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
     The first bad record raises :class:`CsvFormatError` with its physical
     line; blank lines are skipped but still counted.
 
-    The file is parsed in blocks first: epoch files by ``np.loadtxt``,
-    ISO files whose every record matches ``_ISO_RECORDS`` by numpy's
-    datetime parse.  A file that parse refuses, or whose samples fail the
-    checks of :class:`RawSeries`, is read again row by row, so every error
-    comes from the row reader.
+    An epoch file is parsed in blocks by ``np.loadtxt`` first.  An ISO
+    file, and an epoch file that parse refuses or whose samples fail the
+    checks of :class:`RawSeries`, is read row by row, so every error comes
+    from the row reader.
     """
     if timestamp_format not in TIMESTAMP_FORMATS:
         raise StructuralError(f"timestamp_format must be iso|epoch, got {timestamp_format!r}")
-    columns = _raw_block_columns(path, timestamp_format)
-    if columns is not None:
-        try:
-            return RawSeries(*columns)
-        except StructuralError:
-            pass  # the row reader names the line and the problem
+    if timestamp_format == "epoch":
+        columns = _epoch_block_columns(path)
+        if columns is not None:
+            try:
+                return RawSeries(*columns)
+            except StructuralError:
+                pass  # the row reader names the line and the problem
     return _read_raw_rows(path, timestamp_format)
 
 
-def _raw_block_columns(path, timestamp_format: str) -> list[np.ndarray] | None:
-    """Timestamps and values of a raw series CSV by the block parse, or
-    None where that parse refuses the file."""
+def _epoch_block_columns(path) -> list[np.ndarray] | None:
+    """Timestamps and values of an epoch raw series CSV by the block
+    parse, or None where that parse refuses the file."""
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh)
         first = next(blocks, b"")
         header = _HEADER_LINE.match(first)
         if not _is_raw_header(header[1].decode("utf-8", "replace").split(",")):
             return None
-        blocks = itertools.chain([first[header.end():]], blocks)
-        if timestamp_format == "epoch":
-            tables = _float_blocks(blocks, 2)
-            if not tables:
-                return None
-            return [np.concatenate([table[:, j] for table in tables]) for j in (0, 1)]
-        parts = []
-        for block in blocks:
-            part = _iso_columns(block)
-            if part is None:
-                return None
-            parts.append(part)
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
-def _iso_columns(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Epoch seconds and values of a block of ``_ISO_RECORDS``, or None
-    where any line is not one."""
-    lines = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if lines and not lines.endswith(b"\n"):
-        lines += b"\n"  # the last record of the file
-    if not _ISO_RECORDS.fullmatch(lines):
+        tables = _float_blocks(itertools.chain([first[header.end():]], blocks), 2)
+    if not tables:
         return None
-    cells = lines.replace(b",", b"\n").split(b"\n")[:-1]
-    try:
-        micros = np.array(cells[0::2], dtype="datetime64[us]").astype(np.int64)
-        values = np.fromiter(map(float, cells[1::2]), np.float64, micros.size)
-    except ValueError:
-        return None
-    if np.abs(micros).max(initial=0) > 2**53:
-        return None  # past float64's exact integers, some 285 years from 1970
-    return micros / 1e6, values
+    return [np.concatenate([table[:, j] for table in tables]) for j in (0, 1)]
 
 
 def _read_raw_rows(path, timestamp_format: str) -> RawSeries:

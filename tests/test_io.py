@@ -4,7 +4,6 @@ import dataclasses
 import datetime as dt
 import io
 import json
-import sys
 import warnings
 from pathlib import Path
 
@@ -355,9 +354,9 @@ def test_iso_and_epoch_forms_of_one_series_read_alike(tmp_path):
     assert series[0].values.tobytes() == series[1].values.tobytes()
 
 
-def _raw_outcome(read, path, timestamp_format):
+def _raw_outcome(read, path):
     try:
-        series = read(path, timestamp_format)
+        series = read(path, "epoch")
         return series.timestamps.tobytes(), series.values.tobytes()
     except (CsvFormatError, UnicodeDecodeError) as exc:
         return type(exc).__name__, getattr(exc, "line", None), str(exc)
@@ -367,71 +366,41 @@ def _epoch(*rows: str, end: str = "\n") -> str:
     return end.join(["timestamp,value", *rows]) + end
 
 
-def _iso(*stamps: str) -> str:
-    return "timestamp,value\n" + "".join(f"{s},{i}.5\n" for i, s in enumerate(stamps))
-
-
-_T0, _T1 = "2024-03-01T10:00:00", "2024-03-01T10:00:01"
-# Python 3.11 widened datetime.fromisoformat to "Z" and to 1-9 fraction digits.
-_ISO_311 = None if sys.version_info >= (3, 11) else "line 2: bad iso timestamp"
-
-# (file, timestamp format, None for a valid file or the row reader's error)
+# (epoch file, None for a valid file or the row reader's error)
 _RAW_DIFFERENTIAL_CASES = {
-    "crlf": (_epoch("1,2", "2,3", end="\r\n"), "epoch", None),
-    "lone-cr": (_epoch("1,2", "2,3", end="\r"), "epoch", None),
-    "no-final-newline": (_epoch("1,2", "2,3").rstrip("\n"), "epoch", None),
-    "blank-lines": ("\n" + _epoch("1,2", "", "\r\n2,3", ""), "epoch", None),
-    "whitespace-line": (_epoch("1,2", "  ", "2,3"), "epoch", "line 3: expected 2 cells, got 1"),
-    "quoted-cell": (_epoch("1,2", '"2",3'), "epoch", None),
-    "quoted-header": ('"timestamp",value\n1,2\n', "epoch", None),
-    "one-cell": (_epoch("1,2", "3"), "epoch", "line 3: expected 2 cells, got 1"),
-    "three-cells": (_epoch("1,2", "2,3,4"), "epoch", "line 3: expected 2 cells, got 3"),
-    "all-one-cell": (_epoch("1", "2"), "epoch", "line 2: expected 2 cells, got 1"),
-    "all-three-cells": (_epoch("1,2,3", "2,3,4"), "epoch", "line 2: expected 2 cells, got 3"),
-    "underscore-digits": (_epoch("1,2", "1_000,3"), "epoch", None),
-    "hex-float": (_epoch("1,2", "0x1p3,3"), "epoch", "line 3: bad epoch timestamp"),
-    "separator-padding": (_epoch("1,2", "\x1c2,3"), "epoch", "line 3: bad epoch timestamp"),
-    "invalid-utf8": (_epoch("1,2", "2,3\udcff"), "epoch", "'utf-8' codec can't decode"),
-    "nul-byte": (_epoch("1,2", "2,3\x00"), "epoch", "line 3: non-numeric value"),
-    "nan-value": (_epoch("1,2", "2,nan", "3,4"), "epoch", "line 3: non-finite"),
-    "inf-timestamp": (_epoch("1,2", "inf,3"), "epoch", "line 3: non-finite"),
-    "backwards-timestamp": (_epoch("1,2", "3,3", "\n2,4"), "epoch",
+    "crlf": (_epoch("1,2", "2,3", end="\r\n"), None),
+    "lone-cr": (_epoch("1,2", "2,3", end="\r"), None),
+    "no-final-newline": (_epoch("1,2", "2,3").rstrip("\n"), None),
+    "blank-lines": ("\n" + _epoch("1,2", "", "\r\n2,3", ""), None),
+    "whitespace-line": (_epoch("1,2", "  ", "2,3"), "line 3: expected 2 cells, got 1"),
+    "quoted-cell": (_epoch("1,2", '"2",3'), None),
+    "quoted-header": ('"timestamp",value\n1,2\n', None),
+    "one-cell": (_epoch("1,2", "3"), "line 3: expected 2 cells, got 1"),
+    "three-cells": (_epoch("1,2", "2,3,4"), "line 3: expected 2 cells, got 3"),
+    "all-one-cell": (_epoch("1", "2"), "line 2: expected 2 cells, got 1"),
+    "all-three-cells": (_epoch("1,2,3", "2,3,4"), "line 2: expected 2 cells, got 3"),
+    "underscore-digits": (_epoch("1,2", "1_000,3"), None),
+    "hex-float": (_epoch("1,2", "0x1p3,3"), "line 3: bad epoch timestamp"),
+    "separator-padding": (_epoch("1,2", "\x1c2,3"), "line 3: bad epoch timestamp"),
+    "invalid-utf8": (_epoch("1,2", "2,3\udcff"), "'utf-8' codec can't decode"),
+    "nul-byte": (_epoch("1,2", "2,3\x00"), "line 3: non-numeric value"),
+    "nan-value": (_epoch("1,2", "2,nan", "3,4"), "line 3: non-finite"),
+    "inf-timestamp": (_epoch("1,2", "inf,3"), "line 3: non-finite"),
+    "backwards-timestamp": (_epoch("1,2", "3,3", "\n2,4"),
                             "line 5: timestamps must be non-decreasing"),
-    "header-only": ("\ntimestamp,value\n", "epoch", "line 3: empty series"),
-    "header-variant": (" Timestamp , VALUE\r\n1,2\r\n", "epoch", None),
-    "wrong-header": ("time,value\n1,2\n", "epoch", 'line 1: expected header'),
-    "bom": ("\ufeff" + _epoch("1,2", "2,3"), "epoch", None),
-    "iso-t": (_iso(_T0, _T1), "iso", None),
-    "iso-space": (_iso("2024-03-01 10:00:00", "2024-03-01 10:00:00.250"), "iso", None),
-    "iso-fraction-6": (_iso(_T0 + ".000001", _T1 + ".999999"), "iso", None),
-    "iso-fraction-1": (_iso(_T0 + ".5", _T1), "iso", _ISO_311),
-    "iso-fraction-7": (_iso(_T0 + ".1234567", _T1), "iso", _ISO_311),
-    "iso-offset": (_iso(_T0 + "+01:00", _T1), "iso", None),
-    "iso-z": (_iso(_T0 + "Z", _T1 + "Z"), "iso", _ISO_311),
-    "iso-lowercase-t": (_iso(_T0.replace("T", "t")), "iso", None),
-    "iso-date-only": (_iso("2024-03-01", _T1), "iso", None),
-    "iso-nat": (_iso(_T0, "NaT"), "iso", "line 3: bad iso timestamp 'NaT'"),
-    "iso-today": (_iso("today"), "iso", "line 2: bad iso timestamp 'today'"),
-    "iso-year-month": (_iso("2024-01"), "iso", "line 2: bad iso timestamp"),
-    "iso-hour-24": (_iso("2024-03-01T24:00:00"), "iso", "line 2: bad iso timestamp"),
-    "iso-feb-29": (_iso("2023-02-29T00:00:00"), "iso", "line 2: bad iso timestamp"),
-    "iso-year-0": (_iso("0000-01-01T00:00:00"), "iso", "line 2: bad iso timestamp"),
-    "iso-year-9999": (_iso(_T0, "9999-12-31T23:59:59.999999"), "iso", None),
-    "iso-nan": ("timestamp,value\n" + _T0 + ",nan\n", "iso", "line 2: non-finite"),
-    "iso-backwards": (_iso(_T1, _T0), "iso", "line 3: timestamps must be non-decreasing"),
-    "iso-blank-line": (_iso(_T0) + "\n" + _T1 + ",2\n", "iso", None),
-    "iso-crlf": (_iso(_T0, _T1).replace("\n", "\r\n"), "iso", None),
-    "iso-bad-value": (_iso(_T0) + _T1 + ",1e\n", "iso", "line 3: non-numeric value"),
+    "header-only": ("\ntimestamp,value\n", "line 3: empty series"),
+    "header-variant": (" Timestamp , VALUE\r\n1,2\r\n", None),
+    "wrong-header": ("time,value\n1,2\n", 'line 1: expected header'),
+    "bom": ("\ufeff" + _epoch("1,2", "2,3"), None),
 }
 
 
-@pytest.mark.parametrize("text, timestamp_format, problem", _RAW_DIFFERENTIAL_CASES.values(),
+@pytest.mark.parametrize("text, problem", _RAW_DIFFERENTIAL_CASES.values(),
                          ids=_RAW_DIFFERENTIAL_CASES.keys())
-def test_bulk_raw_parse_agrees_with_row_reader(tmp_path, text, timestamp_format, problem):
+def test_bulk_raw_parse_agrees_with_row_reader(tmp_path, text, problem):
     path = tmp_path / "raw.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    outcomes = [_raw_outcome(read, path, timestamp_format)
-                for read in (read_raw_series_csv, _read_raw_rows)]
+    outcomes = [_raw_outcome(read, path) for read in (read_raw_series_csv, _read_raw_rows)]
     assert outcomes[0] == outcomes[1]
     if problem is None:
         assert isinstance(outcomes[0][0], bytes)
@@ -451,22 +420,20 @@ def test_line_blocks_cut_only_after_a_whole_line_end(monkeypatch, end):
         assert max(map(len, blocks)) <= size + longest
 
 
-@pytest.mark.parametrize("text, timestamp_format", [
+@pytest.mark.parametrize("text, kind", [
     (_raw_file("epoch", days=1, per_day=40), "epoch"),
     (_raw_file("epoch", days=1, per_day=40).replace("\n", "\r\n"), "epoch"),
     (_raw_file("epoch", days=1, per_day=40).replace("\n", "\r"), "epoch"),
-    (_raw_file("iso", days=1, per_day=40), "iso"),
-    (_raw_file("iso", days=1, per_day=40).replace("\n", "\r\n"), "iso"),
     (_GOOD.replace("\n", "\r\n"), "density"),
-], ids=["epoch-lf", "epoch-crlf", "epoch-cr", "iso-lf", "iso-crlf", "density-crlf"])
-def test_records_split_across_blocks_parse_alike(tmp_path, monkeypatch, text, timestamp_format):
+], ids=["epoch-lf", "epoch-crlf", "epoch-cr", "density-crlf"])
+def test_records_split_across_blocks_parse_alike(tmp_path, monkeypatch, text, kind):
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode())
-    if timestamp_format == "density":
+    if kind == "density":
         read = lambda: read_density_csv(path)[1].tobytes()
     else:
         def read():
-            series = read_raw_series_csv(path, timestamp_format)
+            series = read_raw_series_csv(path, "epoch")
             return series.timestamps.tobytes(), series.values.tobytes()
 
     def row_reader(*args):
@@ -480,10 +447,9 @@ def test_records_split_across_blocks_parse_alike(tmp_path, monkeypatch, text, ti
         assert read() == expected
 
 
-@pytest.mark.parametrize("timestamp_format", ["epoch", "density"])
-def test_loadtxt_never_holds_more_than_a_block_and_a_line(tmp_path, monkeypatch,
-                                                         timestamp_format):
-    text = _raw_file("epoch", days=1, per_day=80) if timestamp_format == "epoch" else _GOOD
+@pytest.mark.parametrize("kind", ["epoch", "density"])
+def test_loadtxt_never_holds_more_than_a_block_and_a_line(tmp_path, monkeypatch, kind):
+    text = _raw_file("epoch", days=1, per_day=80) if kind == "epoch" else _GOOD
     path = tmp_path / "f.csv"
     path.write_text(text)
     longest = max(len(line) + 1 for line in text.splitlines())
@@ -495,7 +461,7 @@ def test_loadtxt_never_holds_more_than_a_block_and_a_line(tmp_path, monkeypatch,
 
     monkeypatch.setattr(bio, "_RAW_BLOCK_BYTES", 100)
     monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
-    if timestamp_format == "epoch":
+    if kind == "epoch":
         read_raw_series_csv(path, "epoch")
     else:
         read_density_csv(path)
@@ -503,20 +469,21 @@ def test_loadtxt_never_holds_more_than_a_block_and_a_line(tmp_path, monkeypatch,
     assert max(sizes) <= 100 + longest
 
 
-@pytest.mark.parametrize("text, timestamp_format", [
-    (_raw_file("epoch"), "epoch"),
-    (_raw_file("epoch").replace("\n", "\r\n"), "epoch"),
-    ("\ufeff" + _raw_file("epoch"), "epoch"),
-    (_raw_file("iso"), "iso"),
-    (_iso("2024-03-01 10:00:00.125", "2024-03-01 10:00:01.000250"), "iso"),
-    ("\ufeff" + _raw_file("iso"), "iso"),
-], ids=["epoch-lf", "epoch-crlf", "epoch-bom", "iso-t", "iso-space-fraction", "iso-bom"])
-def test_well_formed_raw_csv_is_read_in_blocks(tmp_path, monkeypatch, text, timestamp_format):
+@pytest.mark.parametrize("text", [
+    _raw_file("epoch"), _raw_file("epoch").replace("\n", "\r\n"), "\ufeff" + _raw_file("epoch"),
+], ids=["lf", "crlf", "bom"])
+def test_well_formed_epoch_csv_is_read_in_blocks(tmp_path, monkeypatch, text):
     def row_reader(*args):
         raise AssertionError("the row reader ran on a well-formed file")
 
     monkeypatch.setattr(bio, "_read_raw_rows", row_reader)
     path = tmp_path / "raw.csv"
     path.write_bytes(text.encode("utf-8"))
-    series = read_raw_series_csv(path, timestamp_format)
+    series = read_raw_series_csv(path, "epoch")
     assert series.timestamps.size == text.count("\n") - 1
+
+
+def test_iso_offset_is_honoured_and_a_naive_timestamp_is_utc(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp,value\n2024-03-01T10:00:00,1\n2024-03-01T11:00:01+01:00,2\n")
+    assert read_raw_series_csv(path, "iso").timestamps.tolist() == [1709287200.0, 1709287201.0]
