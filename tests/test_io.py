@@ -487,3 +487,10 @@ def test_iso_offset_is_honoured_and_a_naive_timestamp_is_utc(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("timestamp,value\n2024-03-01T10:00:00,1\n2024-03-01T11:00:01+01:00,2\n")
     assert read_raw_series_csv(path, "iso").timestamps.tolist() == [1709287200.0, 1709287201.0]
+
+
+def test_epoch_numbers_are_not_iso_timestamps(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp,value\n1,2\n2,3\n")
+    with pytest.raises(CsvFormatError, match="line 2: bad iso timestamp '1'"):
+        read_raw_series_csv(path, "iso")
