@@ -3,24 +3,30 @@
 
 Synthesizes 100 days of scalar samples whose generating distribution
 switches families at a chosen day, writes the raw CSV, then drives the
-CLI pipeline: ingest -> clean -> detect.  Exits non-zero when ``ingest``
-fails or ``detect`` exits with anything but a decision (0 or 1).
+CLI pipeline: ingest -> clean -> detect.  Prints the ingest step's wall
+time per day (interpreter start included) and its peak RSS.  Exits
+non-zero when ``ingest`` fails or ``detect`` exits with anything but a
+decision (0 or 1).
+
+A child's peak RSS counts this process's own peak at the time it starts
+the child, so the raw CSV is synthesized and written one day at a time:
+this process then holds one day of samples, less than ``ingest`` does.
 """
 
 import argparse
+import csv
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-from bayes_cpd import RawSeries
-from bayes_cpd.io import write_raw_series_csv
 
-
-def synthesize(seed: int, n_days: int, switch_day: int, per_day: int) -> RawSeries:
+def synthesize(seed: int, n_days: int, switch_day: int, per_day: int):
+    """Yield the timestamps and values of each day in turn."""
     rng = np.random.default_rng(seed)
-    ts, vals = [], []
     for day in range(n_days):
         if day < switch_day:
             x = rng.beta(rng.uniform(10, 15), rng.uniform(10, 15), per_day)
@@ -29,9 +35,17 @@ def synthesize(seed: int, n_days: int, switch_day: int, per_day: int) -> RawSeri
             a2, b2 = rng.uniform(2, 4), rng.uniform(4, 6)
             pick = rng.uniform(size=per_day) < 0.5
             x = np.where(pick, rng.beta(a1, b1, per_day), rng.beta(a2, b2, per_day))
-        ts.append(day * 86400.0 + np.arange(per_day) * (86400.0 / per_day))
-        vals.append(2.0 + 2.0 * x)
-    return RawSeries(np.concatenate(ts), np.concatenate(vals))
+        yield day * 86400.0 + np.arange(per_day) * (86400.0 / per_day), 2.0 + 2.0 * x
+
+
+def write_raw_csv(path: Path, days) -> None:
+    """The raw series CSV that ``bayes_cpd.io.write_raw_series_csv`` writes
+    for the concatenated days, written a day at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "value"])
+        for t, v in days:
+            writer.writerows(zip(map(repr, t.tolist()), map(repr, v.tolist())))
 
 
 def main() -> int:
@@ -46,16 +60,20 @@ def main() -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raw = out / "raw.csv"
-    write_raw_series_csv(raw, synthesize(args.seed, args.days,
-                                         args.switch_day, args.per_day))
+    write_raw_csv(raw, synthesize(args.seed, args.days, args.switch_day, args.per_day))
     print(f"wrote {raw} (switch after day {args.switch_day})")
 
     run = lambda *cmd: subprocess.run([sys.executable, "-m", "bayes_cpd.cli", *cmd])
+    start = time.perf_counter()
     ingest = run("ingest", str(raw), "--timestamp-format", "epoch",
                  "--out", str(out / "densities.csv"), "--report", str(out / "ingest.json"))
+    seconds = time.perf_counter() - start
+    # ingest is the only child waited for so far; ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     if ingest.returncode != 0:
         print(f"ingest exit {ingest.returncode}: failed", file=sys.stderr)
         return ingest.returncode
+    print(f"ingest: {seconds / args.days:.3f} s per day, peak RSS {peak_mb:.0f} MB")
     result = run("detect", str(out / "densities.csv"), "--clean",
                  "--seed", str(args.seed),
                  "--out", str(out / "detection.json"),

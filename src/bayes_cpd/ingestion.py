@@ -1,9 +1,10 @@
 """Turn a raw scalar monitoring series into a density-valued sequence.
 
 Pipeline order: boxplot-filter the full series, estimate the common
-support from what survives, map values onto [0, 1], split into fixed
-time windows, and fit one boundary-reflected Gaussian KDE per window.
-Each retained window becomes one density, in time order.
+support from what survives, split the kept samples into fixed time
+windows, then map each window's values onto [0, 1] and fit one
+boundary-reflected Gaussian KDE to them.  Each retained window becomes
+one density, in time order.
 """
 
 from __future__ import annotations
@@ -49,12 +50,15 @@ class RawSeries:
             raise StructuralError("timestamps and values must be equal-length 1-d")
         if t.size == 0:
             raise StructuralError("empty series")
-        bad, problem = ~(np.isfinite(t) & np.isfinite(v)), "non-finite timestamp or value"
-        if not bad.any():
-            bad, problem = np.diff(t, prepend=t[0]) < 0, "timestamps must be non-decreasing"
+        # min and max propagate NaN, so they are finite only when every
+        # sample is; bad[i] concerns sample i + 1 + offset (1-based)
+        if all(math.isfinite(x) for x in (t.min(), t.max(), v.min(), v.max())):
+            bad, offset, problem = t[1:] < t[:-1], 1, "timestamps must be non-decreasing"
+        else:
+            bad, offset, problem = ~(np.isfinite(t) & np.isfinite(v)), 0, "non-finite timestamp or value"
         if bad.any():
             exc = StructuralError(problem)
-            exc.sample = int(np.argmax(bad)) + 1
+            exc.sample = int(np.argmax(bad)) + 1 + offset
             raise exc
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
@@ -97,21 +101,30 @@ def estimate_support(values, margin_fraction: float = DEFAULT_MARGIN_FRACTION) -
 
 def normalize(values, support: SupportEstimate) -> np.ndarray:
     """Map values onto [0, 1] by the support transform, clamping overshoots."""
-    values = np.asarray(values, dtype=np.float64)
-    unit = (values - support.lower) / (support.upper - support.lower)
-    return np.clip(unit, 0.0, 1.0)
+    unit = np.asarray(values, dtype=np.float64) - support.lower
+    unit /= support.upper - support.lower
+    return np.clip(unit, 0.0, 1.0, out=unit)
 
 
-def count_outside_support(values, support: SupportEstimate) -> int:
+def count_outside_support(values, support: SupportEstimate, *, keep=None) -> int:
+    """How many values lie outside the support; with ``keep``, how many of the kept ones."""
     values = np.asarray(values, dtype=np.float64)
-    return int(np.count_nonzero((values < support.lower) | (values > support.upper)))
+    outside = (values < support.lower) | (values > support.upper)
+    if keep is not None:
+        outside &= keep
+    return int(np.count_nonzero(outside))
 
 
 @dataclass(frozen=True)
 class SegmentationResult:
-    """Retained window values plus records of everything dropped."""
+    """Retained windows as slices of the series, plus records of everything dropped.
 
-    segments: list[np.ndarray]
+    Retained window ``segment_indices[i]`` holds the kept samples of
+    ``slices[i]``, ``counts[i]`` of them.
+    """
+
+    slices: list[slice]
+    counts: list[int]
     segment_indices: list[int]
     dropped: list[tuple[int, int]]  # (window index, sample count)
 
@@ -120,34 +133,59 @@ def segment(
     series: RawSeries,
     window_seconds: float,
     min_count: int = DEFAULT_MIN_SEGMENT_COUNT,
+    *,
+    keep=None,
 ) -> SegmentationResult:
-    """Split into contiguous windows aligned to the first timestamp.
+    """Split the kept samples into contiguous windows aligned to the first
+    kept timestamp.
 
-    Window j covers [t0 + j*w, t0 + (j+1)*w); windows with fewer than
-    ``min_count`` samples (including empty ones inside gaps) are dropped
-    and recorded.  ``min_count`` must be at least 1, so that no empty
-    window is kept.
+    ``keep`` is a boolean mask over the samples; by default every sample
+    is kept.  Window j covers [t0 + j*w, t0 + (j+1)*w); windows with fewer
+    than ``min_count`` kept samples (including empty ones inside gaps) are
+    dropped and recorded.  ``min_count`` must be at least 1, so that no
+    empty window is kept.  Samples outside the first and last kept one
+    play no part, however far away they lie.
+
+    Work and memory grow with the samples, except the record of dropped
+    windows: it holds one count per window id up to the last, so a span
+    too large to allocate fails at once.
     """
     if not window_seconds > 0:
         raise StructuralError(f"window must be positive, got {window_seconds}")
     if min_count < 1:
         raise StructuralError(f"min_count must be >= 1, got {min_count}")
-    t0 = series.timestamps[0]
-    window_ids = np.floor((series.timestamps - t0) / window_seconds)
+    t = series.timestamps
+    if keep is None:
+        keep = np.ones(t.size, dtype=bool)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != t.shape:
+        raise StructuralError(f"keep mask has shape {keep.shape}, series {t.shape}")
+    first, last = int(np.argmax(keep)), t.size - 1 - int(np.argmax(keep[::-1]))
+    if not keep[first]:
+        raise StructuralError("keep mask keeps no sample")
+    window_ids = t[first:last + 1] - t[first]
+    window_ids /= window_seconds
+    np.floor(window_ids, out=window_ids)
     if not window_ids[-1] < 2.0 ** 63:
         raise StructuralError(f"window of {window_seconds} s gives more windows than int64 counts")
-    window_ids = window_ids.astype(np.int64)
-    # Timestamps are non-decreasing, so each window is one contiguous run.
-    bounds = np.searchsorted(window_ids, np.arange(window_ids[-1] + 2))
-    segments, indices, dropped = [], [], []
-    for j in range(int(window_ids[-1]) + 1):
-        values = series.values[bounds[j]:bounds[j + 1]]
-        if values.size >= min_count:
-            segments.append(values)
-            indices.append(j)
-        else:
-            dropped.append((j, int(values.size)))
-    return SegmentationResult(segments=segments, segment_indices=indices, dropped=dropped)
+    # Timestamps are non-decreasing, so each window is one contiguous run
+    # of samples, from one bound to the next; a run may hold no kept one.
+    bounds = np.concatenate(([0], np.flatnonzero(window_ids[1:] != window_ids[:-1]) + 1,
+                             [window_ids.size]))
+    run_ids = window_ids[bounds[:-1]].astype(np.int64)
+    del window_ids
+    bounds += first
+    run_counts = np.add.reduceat(keep[:last + 1], bounds[:-1], dtype=np.int64)
+    window_counts = np.zeros(run_ids[-1] + 1, dtype=np.int64)
+    window_counts[run_ids] = run_counts
+    short = np.flatnonzero(window_counts < min_count)
+    retained, bounds = np.flatnonzero(run_counts >= min_count), bounds.tolist()
+    return SegmentationResult(
+        slices=[slice(bounds[r], bounds[r + 1]) for r in retained.tolist()],
+        counts=run_counts[retained].tolist(),
+        segment_indices=run_ids[retained].tolist(),
+        dropped=list(zip(short.tolist(), window_counts[short].tolist())),
+    )
 
 
 def silverman_bandwidth(values) -> float:
@@ -205,11 +243,13 @@ def kde(values, grid: Grid, bandwidth: float | None = None) -> DensityFunction:
         )
     r, bins = kde_bin_count(grid, bandwidth)
     # Linear binning: each sample splits its weight between its two bins.
-    position = values * (bins - 1)
-    lower = np.minimum(position.astype(np.intp), bins - 2)
-    upper_share = position - lower
-    counts = (np.bincount(lower, weights=1.0 - upper_share, minlength=bins)
-              + np.bincount(lower + 1, weights=upper_share, minlength=bins))
+    upper_share = values * (bins - 1)
+    lower = upper_share.astype(np.intp)
+    np.minimum(lower, bins - 2, out=lower)
+    upper_share -= lower
+    counts = np.bincount(lower, weights=1.0 - upper_share, minlength=bins)
+    lower += 1
+    counts += np.bincount(lower, weights=upper_share, minlength=bins)
     # Images -v and 2 - v land on the mirrored bins, so the three-image
     # sum is one convolution over [-1, 2]; its middle third is [0, 1].
     mirrored = np.zeros(3 * bins - 2)
@@ -259,39 +299,48 @@ class IngestionReport:
 def build_sequence(
     series: RawSeries, config: IngestConfig | None = None
 ) -> tuple[DistributionalSequence, IngestionReport]:
-    """Full ingestion: filter, support, normalize, segment, per-window KDE."""
+    """Full ingestion: filter, support, segment, then normalize and fit a
+    KDE per window.
+
+    Beyond the series, memory holds a keep mask, one window-id column while
+    segmenting, and the samples of the windows being fitted: no filtered
+    or normalized copy of the whole series is made.
+    """
     config = config or IngestConfig()
     grid = Grid(config.grid_nodes)
 
-    keep = boxplot_keep_mask(series.values, config.whisker)
-    values = series.values[keep]
-    support = config.support or estimate_support(values, config.margin_fraction)
-    seg = segment(RawSeries(series.timestamps[keep], normalize(values, support)),
-                  config.window_seconds, config.min_count)
-    if len(seg.segments) < 4:
+    values = series.values
+    keep = boxplot_keep_mask(values, config.whisker)
+    # The estimated support depends on the extremes of the kept values only.
+    support = config.support or estimate_support(
+        [values.min(where=keep, initial=np.inf), values.max(where=keep, initial=-np.inf)],
+        config.margin_fraction)
+    seg = segment(series, config.window_seconds, config.min_count, keep=keep)
+    if len(seg.slices) < 4:
         raise DegenerateInputError(
-            f"only {len(seg.segments)} usable segments; need at least 4"
+            f"only {len(seg.slices)} usable segments; need at least 4"
         )
 
-    single = [j for j, v in zip(seg.segment_indices, seg.segments) if v.size < 2]
+    single = [j for j, count in zip(seg.segment_indices, seg.counts) if count < 2]
     if config.bandwidth is None and single:
         raise StructuralError(f"window {single[0]} holds 1 sample, too few for the automatic "
                               "bandwidth; raise min_count to 2 or give a fixed bandwidth")
-    bandwidths = [
-        config.bandwidth if config.bandwidth is not None else silverman_bandwidth(v)
-        for v in seg.segments
-    ]
-    rows = np.empty((len(seg.segments), grid.node_count))
+    rows = np.empty((len(seg.slices), grid.node_count))
+    bandwidths = [config.bandwidth] * len(seg.slices)
 
     def fill(i: int) -> None:
-        rows[i] = kde(seg.segments[i], grid, bandwidths[i]).values
+        window = seg.slices[i]
+        unit = normalize(values[window][keep[window]], support)
+        if config.bandwidth is None:
+            bandwidths[i] = silverman_bandwidth(unit)
+        rows[i] = kde(unit, grid, bandwidths[i]).values
 
-    parallel_map(fill, range(len(seg.segments)), config.threads)
+    parallel_map(fill, range(len(seg.slices)), config.threads)
     report = IngestionReport(
-        segments_total=len(seg.segments) + len(seg.dropped),
+        segments_total=len(seg.slices) + len(seg.dropped),
         segments_dropped=seg.dropped,
-        scalar_outliers_removed=int(np.count_nonzero(~keep)),
-        clamped_values=count_outside_support(values, support),
+        scalar_outliers_removed=keep.size - int(np.count_nonzero(keep)),
+        clamped_values=count_outside_support(values, support, keep=keep),
         support=support,
         bandwidth_per_segment=[float(b) for b in bandwidths],
     )

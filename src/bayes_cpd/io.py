@@ -10,6 +10,7 @@ import codecs
 import csv
 import dataclasses
 import datetime as _dt
+import functools
 import io
 import itertools
 import json
@@ -30,7 +31,7 @@ _GRID_REL_TOL = 1e-9
 #: ASCII separators that ``np.loadtxt`` strips as cell padding and ``float`` refuses.
 _LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 #: Bytes of a CSV file read at once by the block parse.
-_RAW_BLOCK_BYTES = 1 << 20
+_RAW_BLOCK_BYTES = 1 << 18
 _LINE_ENDS = re.compile(rb"[\r\n]*")
 
 TIMESTAMP_FORMATS = ("iso", "epoch")
@@ -69,8 +70,56 @@ def _checked_rows(grid: Grid, rows: list[np.ndarray], lines: list[int]) -> np.nd
 
 
 def _open_text(path):
-    """``path`` opened for ``csv``; a leading UTF-8 byte-order mark is dropped."""
-    return open(path, "r", newline="", encoding="utf-8-sig")
+    """``path`` opened for ``csv``; a leading UTF-8 byte-order mark is dropped.
+
+    A byte that is not UTF-8 reads as a lone surrogate, which no header,
+    timestamp or number accepts, so its record fails to parse and
+    :func:`_names_invalid_utf8` names the byte.
+    """
+    return open(path, "r", newline="", encoding="utf-8-sig", errors="surrogateescape")
+
+
+def _line_end_count(data: bytes) -> int:
+    """Line ends in ``data``, which no CR LF straddles: LF, CR LF and a
+    lone CR each count once, as ``csv`` and ``np.loadtxt`` count lines."""
+    ends = int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends
+
+
+def _first_invalid_utf8(path) -> tuple[int, str] | None:
+    """Physical line and description of the first byte of ``path`` that is
+    not UTF-8, or None.  Read again in binary on the error path only; a
+    block ends after a line end, so no character spans two blocks."""
+    line = 1
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return (line + _line_end_count(block[:exc.start]),
+                        f"invalid UTF-8 byte 0x{block[exc.start]:02x}")
+            line += _line_end_count(block)
+    return None
+
+
+def _names_invalid_utf8(read):
+    """Wrap row reader ``read(path, ...)`` so that an error raised at or
+    after the line of the file's first byte that is not UTF-8 names that
+    byte instead: the record holding it is the first bad one."""
+
+    @functools.wraps(read)
+    def checked(path, *args):
+        try:
+            return read(path, *args)
+        except CsvFormatError as exc:
+            invalid = _first_invalid_utf8(path)
+            if invalid is None or invalid[0] > exc.line:
+                raise
+            raise CsvFormatError(*invalid) from None
+
+    return checked
 
 
 def _numbered_rows(fh):
@@ -103,39 +152,49 @@ def _line_blocks(fh):
         fh.seek(0)
     carry = b""
     while chunk := fh.read(_RAW_BLOCK_BYTES):
-        data = carry + chunk
+        data, chunk = carry + chunk, None
         end = len(data) - data.endswith(b"\r")
         lf = data.rfind(b"\n", 0, end)
         cut = max(lf, data.rfind(b"\r", lf + 1, end)) + 1  # past the last LF, only a CR
-        if cut:
-            yield data[:cut]
-        carry = data[cut:]
+        block, carry = data[:cut], data[cut:]
+        del data  # the caller works on the block alone
+        if block:
+            yield block
     if carry:
         yield carry
 
 
-def _float_blocks(blocks, columns: int | None) -> list[np.ndarray] | None:
-    """One float matrix of ``columns`` columns per block holding data
-    (the first such block's width when ``columns`` is None), or None where
+def _line_count(fh) -> int:
+    """Lines of binary handle ``fh``, an unfinished last one included;
+    ``fh`` is left at its start."""
+    lines = 1 + sum(map(_line_end_count, _line_blocks(fh)))
+    fh.seek(0)
+    return lines
+
+
+def _float_blocks(blocks, columns: int | None):
+    """Yield one float matrix of ``columns`` columns per block holding data
+    (the first such block's width when ``columns`` is None).  Where
     ``np.loadtxt`` refuses a block or could read it more leniently than
-    ``float`` reads a cell.
+    ``float`` reads a cell, yield None and stop.
     """
-    tables = []
     for block in blocks:
         if _LINE_ENDS.fullmatch(block):
             continue  # blank lines only, which np.loadtxt would warn of
         if any(c in block for c in _LOADTXT_ONLY_SPACE):
-            return None
+            yield None
+            return
         try:  # decoded as read: a str of the block could take 4 bytes a character
             text = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
             table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            return None
+            yield None
+            return
         columns = columns or table.shape[1]
         if table.shape[1] != columns:
-            return None
-        tables.append(table)
-    return tables
+            yield None
+            return
+        yield table
 
 
 def read_density_csv(path) -> tuple[Grid, np.ndarray]:
@@ -151,8 +210,8 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     every error comes from the row reader.
     """
     with open(path, "rb") as fh:
-        tables = _float_blocks(_line_blocks(fh), None)
-    if tables:
+        tables = list(_float_blocks(_line_blocks(fh), None))
+    if tables and tables[-1] is not None:
         table = np.concatenate(tables)
         try:
             grid = _grid_from_row(table[0], 1)
@@ -162,6 +221,7 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     return _read_density_rows(path)
 
 
+@_names_invalid_utf8
 def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
     """The row-by-row reader behind :func:`read_density_csv`."""
     with _open_text(path) as fh:
@@ -235,21 +295,29 @@ def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
     return _read_raw_rows(path, timestamp_format)
 
 
-def _epoch_block_columns(path) -> list[np.ndarray] | None:
+def _epoch_block_columns(path) -> np.ndarray | None:
     """Timestamps and values of an epoch raw series CSV by the block
-    parse, or None where that parse refuses the file."""
+    parse, the two rows of one array allocated once from the file's line
+    count and filled block by block, or None where that parse refuses the
+    file."""
     with open(path, "rb") as fh:
+        columns, filled = np.empty((2, _line_count(fh))), 0
         blocks = _line_blocks(fh)
         first = next(blocks, b"")
         header = _HEADER_LINE.match(first)
         if not _is_raw_header(header[1].decode("utf-8", "replace").split(",")):
             return None
-        tables = _float_blocks(itertools.chain([first[header.end():]], blocks), 2)
-    if not tables:
-        return None
-    return [np.concatenate([table[:, j] for table in tables]) for j in (0, 1)]
+        blocks = itertools.chain([first[header.end():]], blocks)
+        del first, header  # only the block being parsed is held
+        for table in _float_blocks(blocks, 2):
+            if table is None:
+                return None
+            columns[:, filled:filled + len(table)] = table.T
+            filled += len(table)
+    return columns[:, :filled] if filled else None
 
 
+@_names_invalid_utf8
 def _read_raw_rows(path, timestamp_format: str) -> RawSeries:
     """The row-by-row reader behind :func:`read_raw_series_csv`."""
     timestamps, values = [], []

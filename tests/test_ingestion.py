@@ -1,5 +1,8 @@
 """Raw-series segmentation, support mapping, KDE, and the full pipeline."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from bayes_cpd.ingestion import (
 )
 from bayes_cpd.errors import DegenerateInputError, StructuralError
 from bayes_cpd.seeds import derive_seed
-from helpers import exact_reflected_kde
+from helpers import exact_reflected_kde, reference_build_sequence
 
 
 def hourly_series(days, values=None):
@@ -39,20 +42,19 @@ class TestSegment:
         series = hourly_series(10)
         # default min_count=30 would drop 24-sample days; set it below 24
         result = segment(series, 86400.0, min_count=10)
-        assert len(result.segments) == 10
-        assert all(s.size == 24 for s in result.segments)
+        assert result.slices == [slice(24 * j, 24 * (j + 1)) for j in range(10)]
+        assert result.counts == [24] * 10
         assert result.dropped == []
 
     def test_default_min_count_drops_sparse_windows(self):
         result = segment(hourly_series(3), 86400.0)
-        assert result.segments == []
+        assert result.slices == [] and result.counts == []
         assert result.dropped == [(0, 24), (1, 24), (2, 24)]
 
     def test_short_series_single_segment(self):
         series = RawSeries(np.arange(40) * 60.0, np.ones(40))
         result = segment(series, 86400.0)
-        assert len(result.segments) == 1
-        assert result.segments[0].size == 40
+        assert result.slices == [slice(0, 40)] and result.counts == [40]
 
     def test_boundaries_by_time_not_count(self):
         # irregular gaps: brute-force timestamp scan as the oracle
@@ -61,10 +63,10 @@ class TestSegment:
         t = t[(t < 2 * 86400.0) | (t > 3 * 86400.0)]  # hole spanning window 2
         series = RawSeries(t, np.ones(t.size))
         result = segment(series, 86400.0, min_count=1)
-        for j, values in zip(result.segment_indices, result.segments):
+        for j, count in zip(result.segment_indices, result.counts):
             lo = t[0] + j * 86400.0
             expected = np.count_nonzero((t >= lo) & (t < lo + 86400.0))
-            assert values.size == expected
+            assert count == expected
         dropped_ids = [j for j, _ in result.dropped]
         assert any(t[0] + 2 * 86400.0 <= t_j < t[0] + 3 * 86400.0 for t_j in [t[0] + 2 * 86400.0]) \
             and 2 in dropped_ids  # the hole produces an empty window
@@ -87,28 +89,42 @@ class TestSegment:
         with pytest.raises(StructuralError, match="min_count"):
             segment(hourly_series(2), 3600.0, min_count=min_count)
 
-    def test_contiguous_runs_match_mask_split(self):
+    @pytest.mark.parametrize("masked", [False, True], ids=["all-kept", "masked"])
+    def test_contiguous_runs_match_mask_split(self, masked):
         # hourly windows holding 0 (gaps), a few, and min_count +- 1 samples,
-        # with repeated timestamps; one boolean mask per window is the oracle
+        # with repeated timestamps; one boolean mask per window of the kept
+        # samples is the oracle
         rng = np.random.default_rng(23)
         counts = [31, 0, 0, 5, 29, 30, 1, 0, 200, 2, 30, 0, 64]
         t = np.concatenate([np.sort(rng.integers(0, 3600, c)) + 3600.0 * j
                             for j, c in enumerate(counts)])
         t = t - t[0]
         series = RawSeries(t, rng.normal(size=t.size))
-        result = segment(series, 3600.0, min_count=30)
-        window_ids = np.floor(t / 3600.0).astype(np.int64)
+        keep = np.ones(t.size, dtype=bool)
+        if masked:  # drop a tenth, the first three and the last sample among them
+            keep = rng.uniform(size=t.size) > 0.1
+            keep[:3] = keep[-1] = False
+        result = segment(series, 3600.0, min_count=30, keep=keep if masked else None)
+        kept_t, kept_v = t[keep], series.values[keep]
+        window_ids = np.floor((kept_t - kept_t[0]) / 3600.0).astype(np.int64)
         kept, dropped = [], []
         for j in range(int(window_ids[-1]) + 1):
-            values = series.values[window_ids == j]
+            values = kept_v[window_ids == j]
             if values.size >= 30:
                 kept.append((j, values))
             else:
                 dropped.append((j, int(values.size)))
         assert result.segment_indices == [j for j, _ in kept]
-        for got, (_, want) in zip(result.segments, kept, strict=True):
-            np.testing.assert_array_equal(got, want)
+        for window, count, (_, want) in zip(result.slices, result.counts, kept, strict=True):
+            assert count == want.size
+            np.testing.assert_array_equal(series.values[window][keep[window]], want)
         assert result.dropped == dropped
+
+    def test_keep_mask_must_match_and_keep_something(self):
+        with pytest.raises(StructuralError, match="shape"):
+            segment(hourly_series(2), 3600.0, keep=np.ones(3, dtype=bool))
+        with pytest.raises(StructuralError, match="no sample"):
+            segment(hourly_series(2), 3600.0, keep=np.zeros(48, dtype=bool))
 
 
 class TestSupport:
@@ -318,3 +334,121 @@ class TestBuildSequence:
             result = detect(seq, seed=derive_seed(s, 1), mc_samples=1000)
             hits += (result.reject_null and abs(result.k_hat - 50) <= 3)
         assert hits >= 9
+
+
+def _windowed_series(seed, counts, window=86400.0, t0=1.7e9, repeats=False):
+    """``counts[j]`` samples inside window j after ``t0`` (0 leaves a gap),
+    the first at ``t0``; with ``repeats`` the timestamps of a window come in
+    runs of equal ones."""
+    rng = np.random.default_rng(seed)
+    t = [t0 + j * window + np.sort(rng.uniform(0, window, c)) for j, c in enumerate(counts)]
+    t = np.concatenate(t)
+    t[0] = t0
+    if repeats:
+        t = np.floor(t / 600.0) * 600.0
+    return t, 2.0 + 2.0 * rng.beta(8.0, 10.0, t.size)
+
+
+def _with_outliers(t, v, before=(), after=()):
+    """Samples whose values the boxplot filter removes, at timestamps
+    before the first and after the last sample."""
+    t = np.concatenate([np.asarray(before, dtype=float), t, np.asarray(after, dtype=float)])
+    v = np.concatenate([np.full(len(before), 90.0), v, np.full(len(after), -70.0)])
+    return t, v
+
+
+_DAYS = _windowed_series(31, [200] * 6)
+_SHORT_DAYS = _windowed_series(32, [200, 12, 200, 29, 0, 200, 200, 1])
+_ONE_SAMPLE_DAY = _windowed_series(33, [200, 1, 200, 200, 200])
+
+# (timestamps, values, IngestConfig fields, None or the start of the error);
+# each runs at 1 and 2 threads
+_BUILD_CASES = {
+    "plain": (*_DAYS, {}, None),
+    "outliers-at-both-ends": (*_with_outliers(*_DAYS, before=[1.6e9, 1.69e9],
+                                              after=[1.71e9, 1.8e9]), {}, None),
+    "removed-sample-1e6-windows-late": (*_with_outliers(*_DAYS, after=[1.7e9 + 1e6 * 86400.0]),
+                                        {}, None),
+    "removed-sample-past-int64": (*_with_outliers(*_DAYS, before=[-1e300], after=[1e300]),
+                                  {}, None),
+    "gap-windows": (*_windowed_series(34, [200, 200, 0, 0, 200, 0, 200, 200]), {}, None),
+    "short-windows": (*_SHORT_DAYS, {}, None),
+    "short-windows-min-count-1": (*_SHORT_DAYS, {"min_count": 1, "bandwidth": 0.05}, None),
+    "one-sample-window-fixed-bandwidth": (*_ONE_SAMPLE_DAY,
+                                          {"min_count": 1, "bandwidth": 0.05}, None),
+    "clamping-support": (*_DAYS, {"support": SupportEstimate(2.6, 3.4)}, None),
+    "repeated-timestamps-hourly": (*_windowed_series(35, [300] * 30, window=3600.0,
+                                                     repeats=True),
+                                   {"window_seconds": 3600.0, "grid_nodes": 64}, None),
+    "constant-window-floors-bandwidth": (_DAYS[0], np.where(_DAYS[0] < 1.7e9 + 86400.0,
+                                                            3.0, _DAYS[1]), {}, None),
+    # errors, each with a setting that would raise a later one
+    "bad-grid": (*_DAYS, {"grid_nodes": 8, "whisker": float("nan")}, "node_count"),
+    "nan-whisker": (*_DAYS, {"whisker": float("nan"), "margin_fraction": -1.0}, "whisker"),
+    "negative-margin": (*_DAYS, {"margin_fraction": -1.0, "window_seconds": 0.0},
+                        "margin_fraction"),
+    "degenerate-support": (_DAYS[0], np.full(_DAYS[0].size, 3.0), {"window_seconds": 0.0},
+                           "all values equal"),
+    "zero-window": (*_DAYS, {"window_seconds": 0.0, "min_count": 0}, "window must be"),
+    "zero-window-given-support": (*_DAYS, {"window_seconds": 0.0,
+                                           "support": SupportEstimate(2.0, 4.0)},
+                                  "window must be"),
+    "min-count-0": (*_DAYS, {"min_count": 0, "window_seconds": 1e-300}, "min_count"),
+    "int64-window-count": (*_DAYS, {"window_seconds": 1e-300}, "window of 1e-300 s"),
+    "too-few-windows": (*_windowed_series(36, [200, 1, 200]), {"min_count": 1},
+                        "only 3 usable segments"),
+    "one-sample-window-auto-bandwidth": (*_ONE_SAMPLE_DAY, {"min_count": 1}, "window 1 holds"),
+    "sub-floor-bandwidth": (*_DAYS, {"bandwidth": 1e-5}, "bandwidth must be"),
+}
+
+
+def _build_outcome(build, series, config):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            seq, report = build(series, config)
+        except (StructuralError, DegenerateInputError) as exc:
+            return type(exc).__name__, str(exc)
+    messages = [str(w.message) for w in caught] if config.threads == 1 else None
+    return seq.values.shape, seq.values.tobytes(), report, messages
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("t, v, fields, problem", _BUILD_CASES.values(),
+                         ids=_BUILD_CASES.keys())
+def test_build_sequence_matches_the_whole_series_reference(t, v, fields, problem, threads):
+    series, config = RawSeries(t, v), IngestConfig(threads=threads, **fields)
+    got = _build_outcome(build_sequence, series, config)
+    assert got == _build_outcome(reference_build_sequence, series, config)
+    if problem is None:
+        assert len(got) == 4
+    else:
+        assert got[1].startswith(problem)
+
+
+def test_build_sequence_memory_is_bounded_by_the_series():
+    # 40 hourly windows of 10,000 samples: the series is 6.4 MB and one
+    # window's working set a small part of it
+    rng = np.random.default_rng(41)
+    windows, per_window = 40, 10_000
+    t = np.arange(windows * per_window) * (3600.0 / per_window)
+    v = 2.0 + 2.0 * rng.beta(8.0, 10.0, t.size)
+    v[::997] = 50.0  # outliers, so that the filter removes samples
+    series, config = RawSeries(t, v), IngestConfig(window_seconds=3600.0)
+    grid, support = Grid(config.grid_nodes), SupportEstimate(2.0, 4.0)
+
+    tracemalloc.start()
+    try:
+        unit = normalize(v[:per_window][v[:per_window] < 50.0], support)
+        kde(unit, grid, silverman_bandwidth(unit))
+        del unit
+        window_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        seq, _ = build_sequence(series, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert seq.n == windows
+    # the parent's whole-series copies took about 42 B per sample
+    assert peak <= 16 * t.size + window_peak + seq.values.nbytes * 2
