@@ -10,12 +10,12 @@ import codecs
 import csv
 import dataclasses
 import datetime as _dt
-import functools
 import io
 import itertools
 import json
 import math
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -69,16 +69,6 @@ def _checked_rows(grid: Grid, rows: list[np.ndarray], lines: list[int]) -> np.nd
         raise CsvFormatError(lines[exc.row - 1], f"invalid {exc}") from None
 
 
-def _open_text(path):
-    """``path`` opened for ``csv``; a leading UTF-8 byte-order mark is dropped.
-
-    A byte that is not UTF-8 reads as a lone surrogate, which no header,
-    timestamp or number accepts, so its record fails to parse and
-    :func:`_names_invalid_utf8` names the byte.
-    """
-    return open(path, "r", newline="", encoding="utf-8-sig", errors="surrogateescape")
-
-
 def _line_end_count(data: bytes) -> int:
     """Line ends in ``data``, which no CR LF straddles: LF, CR LF and a
     lone CR each count once, as ``csv`` and ``np.loadtxt`` count lines."""
@@ -88,43 +78,33 @@ def _line_end_count(data: bytes) -> int:
     return ends
 
 
-def _first_invalid_utf8(path) -> tuple[int, str] | None:
-    """Physical line and description of the first byte of ``path`` that is
-    not UTF-8, or None.  Read again in binary on the error path only; a
-    block ends after a line end, so no character spans two blocks."""
+def _text_lines(fh):
+    """Yield the lines of binary handle ``fh``, ends kept, split as ``csv``
+    splits a text file opened with ``newline=""``: at LF, CR LF and a lone
+    CR only.
+
+    At the first byte that is not UTF-8, yield every whole line before it,
+    then raise :class:`CsvFormatError` naming the byte and its line.  A
+    block ends after a line end, so no character spans two blocks.
+    """
     line = 1
-    with open(path, "rb") as fh:
-        for block in _line_blocks(fh):
-            try:
-                block.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return (line + _line_end_count(block[:exc.start]),
-                        f"invalid UTF-8 byte 0x{block[exc.start]:02x}")
-            line += _line_end_count(block)
-    return None
-
-
-def _names_invalid_utf8(read):
-    """Wrap row reader ``read(path, ...)`` so that an error raised at or
-    after the line of the file's first byte that is not UTF-8 names that
-    byte instead: the record holding it is the first bad one."""
-
-    @functools.wraps(read)
-    def checked(path, *args):
+    for block in _line_blocks(fh):
         try:
-            return read(path, *args)
-        except CsvFormatError as exc:
-            invalid = _first_invalid_utf8(path)
-            if invalid is None or invalid[0] > exc.line:
-                raise
-            raise CsvFormatError(*invalid) from None
-
-    return checked
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = block[:exc.start]
+            ends = _line_end_count(head)
+            yield from itertools.islice(io.StringIO(head.decode("utf-8"), newline=""), ends)
+            raise CsvFormatError(line + ends,
+                                 f"invalid UTF-8 byte 0x{block[exc.start]:02x}") from None
+        yield from io.StringIO(text, newline="")
+        line += _line_end_count(block)
 
 
 def _numbered_rows(fh):
-    """Yield each non-blank CSV record with the physical line it ends on."""
-    reader = csv.reader(fh)
+    """Yield each non-blank CSV record of binary handle ``fh`` with the
+    physical line it ends on."""
+    reader = csv.reader(_text_lines(fh))
     for row in reader:
         if row:
             yield reader.line_num, row
@@ -221,29 +201,28 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     return _read_density_rows(path)
 
 
-@_names_invalid_utf8
 def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
     """The row-by-row reader behind :func:`read_density_csv`."""
-    with _open_text(path) as fh:
-        rows = list(_numbered_rows(fh))
-    if not rows:
-        raise CsvFormatError(1, "need a grid row")
-    grid_line, grid_row = rows[0]
-    grid = _grid_from_row(_parse_float_row(grid_row, grid_line), grid_line)
     parsed, lines = [], []
-    for line, row in rows[1:]:
+    with open(path, "rb") as fh:
+        rows = _numbered_rows(fh)
+        grid_line, grid_row = next(rows, (1, None))
+        if grid_row is None:
+            raise CsvFormatError(1, "need a grid row")
+        grid = _grid_from_row(_parse_float_row(grid_row, grid_line), grid_line)
         try:
-            values = _parse_float_row(row, line)
-            if values.size != grid.node_count:
-                raise CsvFormatError(
-                    line, f"expected {grid.node_count} values, got {values.size}"
-                )
+            for line, row in rows:
+                values = _parse_float_row(row, line)
+                if values.size != grid.node_count:
+                    raise CsvFormatError(
+                        line, f"expected {grid.node_count} values, got {values.size}"
+                    )
+                parsed.append(values)
+                lines.append(line)
         except CsvFormatError:
             if parsed:
                 _checked_rows(grid, parsed, lines)  # an earlier invalid row comes first
             raise
-        parsed.append(values)
-        lines.append(line)
     return grid, _checked_rows(grid, parsed, lines)
 
 
@@ -317,11 +296,11 @@ def _epoch_block_columns(path) -> np.ndarray | None:
     return columns[:, :filled] if filled else None
 
 
-@_names_invalid_utf8
 def _read_raw_rows(path, timestamp_format: str) -> RawSeries:
-    """The row-by-row reader behind :func:`read_raw_series_csv`."""
-    timestamps, values = [], []
-    with _open_text(path) as fh:
+    """The row-by-row reader behind :func:`read_raw_series_csv`; samples
+    are appended to two float64 columns, 8 B each."""
+    timestamps, values = array("d"), array("d")
+    with open(path, "rb") as fh:
         rows = _numbered_rows(fh)
         line, header = next(rows, (1, []))
         if not _is_raw_header(header):
@@ -335,7 +314,7 @@ def _read_raw_rows(path, timestamp_format: str) -> RawSeries:
             except ValueError:
                 raise CsvFormatError(line, f"non-numeric value {row[1]!r}") from None
     try:
-        return RawSeries(np.array(timestamps), np.array(values))
+        return RawSeries(np.frombuffer(timestamps), np.frombuffer(values))
     except StructuralError as exc:
         raise CsvFormatError(_record_line(path, getattr(exc, "sample", 1)), str(exc)) from None
 
@@ -346,7 +325,7 @@ def _record_line(path, record: int) -> int:
 
     Read again on the error path only, so parsing keeps no per-row lines.
     """
-    with _open_text(path) as fh:
+    with open(path, "rb") as fh:
         for i, (line, _) in enumerate(_numbered_rows(fh)):
             if i == record:
                 return line

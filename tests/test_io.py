@@ -494,25 +494,69 @@ def test_well_formed_epoch_csv_is_read_in_blocks(tmp_path, monkeypatch, text):
     assert series.timestamps.size == text.count("\n") - 1
 
 
-def test_epoch_parse_holds_the_series_once(tmp_path):
-    # about 1 M rows: the parsed columns take 16 B a sample, and the parse
-    # itself holds a few blocks at a time
-    n = 1 << 20
+@pytest.mark.parametrize("timestamp_format, n", [("epoch", 1 << 20), ("iso", 1 << 18)],
+                         ids=["epoch", "iso"])
+def test_raw_parse_holds_the_series_once(tmp_path, timestamp_format, n):
+    # the parsed columns take 16 B a sample, and the parse itself holds a
+    # few blocks at a time
     rng = np.random.default_rng(3)
     t = (1.7e9 + np.arange(n)).tolist()
     v = (2.0 + 2.0 * rng.beta(8.0, 10.0, n)).tolist()
+    if timestamp_format == "epoch":
+        stamps = map(repr, t)
+    else:
+        stamps = (dt.datetime.fromtimestamp(x, dt.timezone.utc).isoformat() for x in t)
     path = tmp_path / "raw.csv"
-    path.write_text("timestamp,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t, v)))
+    path.write_text("timestamp,value\n" + "".join(f"{a},{b!r}\n" for a, b in zip(stamps, v)))
     tracemalloc.start()
     try:
-        series = read_raw_series_csv(path, "epoch")
+        series = read_raw_series_csv(path, timestamp_format)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert series.timestamps.tolist() == t and series.values.tolist() == v
     assert series.timestamps.flags.c_contiguous and series.values.flags.c_contiguous
-    # the parent held every block's table beside the joined columns, 32 B a sample
+    # a table per block beside the joined columns, or a float object per
+    # sample, would exceed this
     assert peak <= 16 * n + 8 * bio._RAW_BLOCK_BYTES
+
+
+def _file_with_invalid_byte(kind: str, line: int, end: str) -> bytes:
+    """A 40-line file of ``kind`` whose ``line``-th line ends in byte 0xff."""
+    if kind == "density":
+        lines = [_HEADER] + [",".join(_CELLS)] * 39
+    else:
+        lines = _raw_file(kind, days=1, per_day=39).splitlines()
+    data = [text.encode() for text in lines]
+    data[line - 1] += b"\xff"
+    return end.encode().join(data) + end.encode()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", ["epoch", "iso", "density"])
+def test_invalid_utf8_is_named_on_its_line_in_any_block(tmp_path, monkeypatch, kind, end):
+    path = tmp_path / "f.csv"
+    for size in (7, 31, 100):
+        monkeypatch.setattr(bio, "_RAW_BLOCK_BYTES", size)
+        for line in (1, 2, 3, 9, 17, 40):
+            path.write_bytes(_file_with_invalid_byte(kind, line, end))
+            with pytest.raises(CsvFormatError) as info:
+                if kind == "density":
+                    read_density_csv(path)
+                else:
+                    read_raw_series_csv(path, kind)
+            assert str(info.value) == f"line {line}: invalid UTF-8 byte 0xff"
+
+
+def test_malformed_iso_record_before_an_invalid_byte_is_reported_first(tmp_path, monkeypatch):
+    lines = [text.encode() for text in _raw_file("iso", days=1, per_day=39).splitlines()]
+    lines[12] = lines[12].split(b",")[0]
+    lines[29] += b"\xff"
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    monkeypatch.setattr(bio, "_RAW_BLOCK_BYTES", 31)
+    with pytest.raises(CsvFormatError, match="^line 13: expected 2 cells, got 1$"):
+        read_raw_series_csv(path, "iso")
 
 
 def test_iso_offset_is_honoured_and_a_naive_timestamp_is_utc(tmp_path):
