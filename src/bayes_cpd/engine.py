@@ -251,23 +251,27 @@ def _covariance_eigen_from_matrix(
 
 
 def _simulate_chunk(
-    lambdas: np.ndarray, count: int, bridge_nodes: int, chunk_seed: int
-) -> np.ndarray:
-    """Limit samples for one chunk, drawn and reduced ``block`` samples at a time.
+    lambdas: tuple[np.ndarray, ...], count: int, bridge_nodes: int, chunk_seed: int
+) -> list[np.ndarray]:
+    """Limit samples for one chunk, one array per eigenvalue vector in ``lambdas``.
 
-    ``standard_normal`` fills its output in sample order, so the blocks
-    consume the chunk's normals in the same order as one (count, L, steps)
-    draw would, and give bit-identical samples in bounded memory.
+    One walk of ``L_max`` bridges, the longest vector's length, is drawn,
+    pinned and squared ``block`` samples at a time; each vector of length
+    L weights the first L bridges.  ``standard_normal`` fills its output in
+    sample order, so the blocks consume the chunk's normals in the same
+    order as one (count, L_max, steps) draw would, and give bit-identical
+    samples in bounded memory.
     """
     rng = np.random.default_rng(chunk_seed)
     steps = bridge_nodes - 1
     dt = 1.0 / steps
     sqrt_dt = np.sqrt(dt)
     t = np.arange(1, bridge_nodes) * dt
-    block = min(count, max(1, _MC_BLOCK // (lambdas.size * steps)))
-    walk = np.empty((block, lambdas.size, steps))
+    l_max = max(v.size for v in lambdas)
+    block = min(count, max(1, _MC_BLOCK // (l_max * steps)))
+    walk = np.empty((block, l_max, steps))
     weighted = np.empty((block, steps))
-    out = np.empty(count)
+    outs = [np.empty(count) for _ in lambdas]
     for start in range(0, count, block):
         stop = min(start + block, count)
         w, s = walk[: stop - start], weighted[: stop - start]
@@ -276,9 +280,50 @@ def _simulate_chunk(
         np.cumsum(w, axis=2, out=w)
         w -= t * w[:, :, -1:]  # pin the walk into a bridge
         np.square(w, out=w)
-        np.einsum("l,klj->kj", lambdas, w, out=s)
-        s.max(axis=1, out=out[start:stop])
-    return out
+        for v, out in zip(lambdas, outs):
+            np.einsum("l,klj->kj", v, w[:, : v.size], out=s)
+            s.max(axis=1, out=out[start:stop])
+    return outs
+
+
+def _checked_eigenvalues(eigen: Sequence[float]) -> np.ndarray:
+    """``eigen`` as a float64 array; raises unless nonempty, finite and non-negative."""
+    lambdas = np.asarray(eigen, dtype=np.float64)
+    if lambdas.size == 0:
+        raise DegenerateInputError("no eigenvalues retained; nothing to simulate")
+    if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
+        raise NumericError("eigenvalues must be finite and non-negative")
+    return lambdas
+
+
+def _simulate_limit_samples(
+    eigens: Sequence[Sequence[float]],
+    mc_samples: int,
+    bridge_nodes: int = DEFAULT_BRIDGE_NODES,
+    seed: int = 0,
+    threads: int = 1,
+) -> list[np.ndarray]:
+    """:func:`simulate_limit_samples` for several eigenvalue vectors on one draw.
+
+    Returns one sample array per vector.  The longest vector, of length
+    L_max, gets exactly its standalone samples; a vector of length L gets
+    the standalone samples of itself padded with L_max - L zeros, which
+    follow the same law.
+    """
+    lambdas = tuple(_checked_eigenvalues(eigen) for eigen in eigens)
+    check_settings(mc_samples=mc_samples, bridge_nodes=bridge_nodes)
+
+    counts = [_MC_CHUNK] * (mc_samples // _MC_CHUNK)
+    if mc_samples % _MC_CHUNK:
+        counts.append(mc_samples % _MC_CHUNK)
+
+    def run(chunk_index: int) -> list[np.ndarray]:
+        return _simulate_chunk(
+            lambdas, counts[chunk_index], bridge_nodes, derive_seed(seed, chunk_index)
+        )
+
+    chunks = parallel_map(run, range(len(counts)), threads)
+    return [np.concatenate(per_vector) for per_vector in zip(*chunks)]
 
 
 def simulate_limit_samples(
@@ -295,26 +340,13 @@ def simulate_limit_samples(
     increments, pinned by B(t) = W(t) - t W(1); the sup is taken over the
     ``bridge_nodes`` grid.  Samples are generated in fixed-size chunks with
     seeds derived from ``(seed, chunk)``, so output is independent of
-    thread count.
+    thread count.  The normals are laid out as (sample, L, step), so a
+    vector padded with zeros keeps its law but not its samples.  The two
+    arms of a ``compare_l2`` experiment replicate share one draw this way:
+    the arm with the larger L gets its own samples from this function, and
+    the other arm the samples of its eigenvalues padded with zeros to that L.
     """
-    lambdas = np.asarray(eigen, dtype=np.float64)
-    if lambdas.size == 0:
-        raise DegenerateInputError("no eigenvalues retained; nothing to simulate")
-    if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
-        raise NumericError("eigenvalues must be finite and non-negative")
-    check_settings(mc_samples=mc_samples, bridge_nodes=bridge_nodes)
-
-    counts = [_MC_CHUNK] * (mc_samples // _MC_CHUNK)
-    if mc_samples % _MC_CHUNK:
-        counts.append(mc_samples % _MC_CHUNK)
-
-    def run(chunk_index: int) -> np.ndarray:
-        return _simulate_chunk(
-            lambdas, counts[chunk_index], bridge_nodes, derive_seed(seed, chunk_index)
-        )
-
-    chunks = parallel_map(run, range(len(counts)), threads)
-    return np.concatenate(chunks)
+    return _simulate_limit_samples((eigen,), mc_samples, bridge_nodes, seed, threads)[0]
 
 
 def p_value(statistic: float, samples: Sequence[float]) -> float:
@@ -334,6 +366,70 @@ def mean_increment(seq: DistributionalSequence, k_hat: int) -> DensityFunction:
     mat = seq.clr_matrix()
     diff = mat[k_hat:].mean(axis=0) - mat[:k_hat].mean(axis=0)
     return clr_inv(ClrFunction(seq.grid, diff - float(seq.grid.weights @ diff)))
+
+
+@dataclass(frozen=True)
+class _Statistic:
+    """What :func:`detect` knows before its Monte Carlo: the sequence and
+    method tested, the CUSUM profile and the retained eigenvalues, which
+    are empty for a degenerate input."""
+
+    seq: DistributionalSequence
+    method: str
+    centering: str
+    profile: CusumProfile
+    eigenvalues: tuple[float, ...]
+
+
+def _detect_statistic(
+    seq: DistributionalSequence, theta: float, method: str, centering: str
+) -> _Statistic:
+    """Stage 1 of :func:`detect`: profile, break estimate and retained spectrum.
+
+    Nothing here depends on the Monte Carlo seed.  Retained eigenvalues
+    are checked as :func:`simulate_limit_samples` checks them, so a bad
+    spectrum fails here, before any draw.
+    """
+    mat = _method_matrix(seq, method)
+    weights = seq.grid.weights
+    profile = _profile_from_matrix(mat, weights)
+    eigenvalues: tuple[float, ...] = ()
+    if not profile.degenerate:
+        eigen = _covariance_eigen_from_matrix(
+            _residual_matrix(mat, centering, profile.argmax_k), weights, theta
+        )
+        eigenvalues = tuple(float(v) for v in eigen.retained())
+        if eigenvalues:
+            _checked_eigenvalues(eigenvalues)
+    return _Statistic(seq, method, centering, profile, eigenvalues)
+
+
+def _detect_result(
+    stat: _Statistic, samples: np.ndarray | None, alpha: float, mc_samples: int, seed: int
+) -> DetectionResult:
+    """Stage 2 of :func:`detect`: the p-value from the limit ``samples``
+    (None when nothing was retained, which gives p = 1) and the result."""
+    k_hat, seq = stat.profile.argmax_k, stat.seq
+    p = 1.0 if samples is None else p_value(stat.profile.statistic, samples)
+    reject = p < alpha
+    increment = None
+    if reject and stat.method == METHOD_BAYES and k_hat < seq.n:
+        increment = mean_increment(seq, k_hat)
+    return DetectionResult(
+        k_hat=k_hat,
+        statistic=stat.profile.statistic,
+        p_value=p,
+        alpha=alpha,
+        reject_null=reject,
+        L=len(stat.eigenvalues),
+        eigenvalues=stat.eigenvalues,
+        mc_samples=mc_samples,
+        seed=seed,
+        centering=stat.centering,
+        degenerate=not stat.eigenvalues,
+        method=stat.method,
+        increment=increment,
+    )
 
 
 def detect(
@@ -357,38 +453,10 @@ def detect(
     carries the estimated mean increment.
     """
     check_settings(alpha, mc_samples, theta, bridge_nodes, centering, method)
-    mat = _method_matrix(seq, method)
-    weights = seq.grid.weights
-    profile = _profile_from_matrix(mat, weights)
-    k_hat = profile.argmax_k
-    eigenvalues: tuple[float, ...] = ()
-    p = 1.0
-    if not profile.degenerate:
-        eigen = _covariance_eigen_from_matrix(
-            _residual_matrix(mat, centering, k_hat), weights, theta
+    stat = _detect_statistic(seq, theta, method, centering)
+    samples = None
+    if stat.eigenvalues:
+        samples = simulate_limit_samples(
+            stat.eigenvalues, mc_samples, bridge_nodes=bridge_nodes, seed=seed, threads=threads
         )
-        eigenvalues = tuple(float(v) for v in eigen.retained())
-        if eigenvalues:
-            samples = simulate_limit_samples(
-                eigenvalues, mc_samples, bridge_nodes=bridge_nodes, seed=seed, threads=threads
-            )
-            p = p_value(profile.statistic, samples)
-    reject = p < alpha
-    increment = None
-    if reject and method == METHOD_BAYES and k_hat < seq.n:
-        increment = mean_increment(seq, k_hat)
-    return DetectionResult(
-        k_hat=k_hat,
-        statistic=profile.statistic,
-        p_value=p,
-        alpha=alpha,
-        reject_null=reject,
-        L=len(eigenvalues),
-        eigenvalues=eigenvalues,
-        mc_samples=mc_samples,
-        seed=seed,
-        centering=centering,
-        degenerate=not eigenvalues,
-        method=method,
-        increment=increment,
-    )
+    return _detect_result(stat, samples, alpha, mc_samples, seed)

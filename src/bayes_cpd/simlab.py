@@ -11,12 +11,12 @@ and aggregates localization errors and rejection rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable
 
 import numpy as np
 
-from .cleaning import clean_and_detect
+from .cleaning import clean, clean_and_detect
 from .density import (
     DEFAULT_NODE_COUNT,
     Grid,
@@ -30,11 +30,15 @@ from .engine import (
     DEFAULT_BRIDGE_NODES,
     DEFAULT_MC_SAMPLES,
     DEFAULT_THETA,
+    METHOD_BAYES,
     METHOD_L2,
     DetectionResult,
     DistributionalSequence,
     check_settings,
     detect,
+    _detect_result,
+    _detect_statistic,
+    _simulate_limit_samples,
 )
 from .errors import BayesCpdError, StructuralError
 from .seeds import derive_seed, parallel_map
@@ -304,20 +308,58 @@ def summarize_records(records) -> dict[str, MethodSummary]:
     return out
 
 
+def _paired_arms(
+    config: ExperimentConfig, seq: DistributionalSequence, mc_seed: int
+) -> list[tuple[str, DetectionResult | BayesCpdError, tuple[int, ...]]]:
+    """Both arms of a ``compare_l2`` replicate on one Monte Carlo draw.
+
+    Each arm runs detection up to its Monte Carlo: the Bayes arm on the
+    cleaned subsequence when ``clean`` is set, the raw-L2 arm on the
+    uncleaned sequence.  The arms that retained eigenvalues then share one
+    draw of bridges, so the arm with the larger L gets the samples of a
+    standalone detection.  An arm that raises a :class:`BayesCpdError`
+    yields that error and the other arm draws alone.  Returns, per arm in
+    method order, the method, its result or error and the indices its
+    cleaning removed.
+    """
+    staged = []
+    for method in (METHOD_BAYES, METHOD_L2):
+        report = None
+        try:
+            arm_seq = seq
+            if config.clean and method == METHOD_BAYES:
+                report = clean(seq)
+                arm_seq = seq.subsequence(report.kept_indices)
+            staged.append((method, _detect_statistic(arm_seq, config.theta, method,
+                                                     config.centering), report))
+        except BayesCpdError as exc:
+            staged.append((method, exc, None))
+    live = [stat for _, stat, _ in staged
+            if not isinstance(stat, BayesCpdError) and stat.eigenvalues]
+    draws = iter(_simulate_limit_samples(
+        [stat.eigenvalues for stat in live], config.mc_samples,
+        bridge_nodes=config.bridge_nodes, seed=mc_seed,
+    ) if live else ())
+    arms = []
+    for method, outcome, report in staged:
+        if not isinstance(outcome, BayesCpdError):
+            samples = next(draws) if outcome.eigenvalues else None
+            try:
+                outcome = _detect_result(outcome, samples, config.alpha, config.mc_samples,
+                                         mc_seed)
+            except BayesCpdError as exc:
+                outcome = exc
+        if report is not None and isinstance(outcome, DetectionResult):
+            outcome = dc_replace(outcome, k_hat=report.map_position(outcome.k_hat))
+        arms.append((method, outcome, report.removed_indices if report else ()))
+    return arms
+
+
 def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[ReplicateRecord]:
     rep_seed = derive_seed(config.seed, r)
     mc_seed = derive_seed(rep_seed, 1)
     seq, truth = replicate_sequence(config.generator, config.n, config.k_star,
                                     config.contamination_count, rep_seed, grid)
-
-    detect_kwargs = dict(
-        alpha=config.alpha,
-        mc_samples=config.mc_samples,
-        theta=config.theta,
-        seed=mc_seed,
-        centering=config.centering,
-        bridge_nodes=config.bridge_nodes,
-    )
 
     records = []
 
@@ -333,20 +375,36 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
             contaminated_indices=truth,
         ))
 
+    def record_error(exc: BayesCpdError, prefix: str = "") -> None:
+        records.append(ReplicateRecord(
+            replicate=r, method="error", k_hat=0, abs_error=0,
+            p_value=float("nan"), rejected=False,
+            contaminated_indices=truth, error=f"{prefix}{type(exc).__name__}: {exc}",
+        ))
+
+    if config.compare_l2:
+        for method, outcome, cleaned in _paired_arms(config, seq, mc_seed):
+            if isinstance(outcome, BayesCpdError):
+                record_error(outcome, prefix=f"{method}: ")
+            else:
+                record(outcome, cleaned)
+        return records
+    detect_kwargs = dict(
+        alpha=config.alpha,
+        mc_samples=config.mc_samples,
+        theta=config.theta,
+        seed=mc_seed,
+        centering=config.centering,
+        bridge_nodes=config.bridge_nodes,
+    )
     try:
         if config.clean:
             report, result = clean_and_detect(seq, **detect_kwargs)
             record(result, cleaned=report.removed_indices)
         else:
             record(detect(seq, **detect_kwargs))
-        if config.compare_l2:
-            record(detect(seq, method=METHOD_L2, **detect_kwargs))
     except BayesCpdError as exc:  # input-level failures are recorded, not fatal
-        records.append(ReplicateRecord(
-            replicate=r, method="error", k_hat=0, abs_error=0,
-            p_value=float("nan"), rejected=False,
-            contaminated_indices=truth, error=f"{type(exc).__name__}: {exc}",
-        ))
+        record_error(exc)
     return records
 
 
@@ -356,7 +414,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Replicate r depends only on (config.seed, r); replicates may execute
     in parallel and are reported in replicate order either way.  The
     raw-L2 comparison arm always sees the uncleaned (possibly
-    contaminated) sequence.
+    contaminated) sequence, and shares one Monte Carlo draw with the
+    Bayes arm (see :func:`_paired_arms`).
     """
     grid = Grid(config.grid_nodes)
     per_rep = parallel_map(

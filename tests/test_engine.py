@@ -24,6 +24,7 @@ from bayes_cpd.engine import (
     _method_matrix,
     _residual_matrix,
     _simulate_chunk,
+    _simulate_limit_samples,
     mean_increment,
 )
 from bayes_cpd.errors import DegenerateInputError, DomainError, NumericError, StructuralError
@@ -284,7 +285,7 @@ class TestLimitSimulation:
         # 3-sample blocks: many blocks, and a 1-sample last block at both counts
         monkeypatch.setattr(engine, "_MC_BLOCK", 3 * L * (bridge_nodes - 1))
         lambdas = np.linspace(1.0, 0.05, L)
-        got = _simulate_chunk(lambdas, count, bridge_nodes, 1234 + L)
+        (got,) = _simulate_chunk((lambdas,), count, bridge_nodes, 1234 + L)
         assert np.array_equal(got, reference_simulate_chunk(lambdas, count, bridge_nodes,
                                                             1234 + L))
 
@@ -304,7 +305,7 @@ class TestLimitSimulation:
         monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
         lambdas, count, bridge_nodes = np.linspace(1.0, 0.01, L), 5, 1001
         per_sample = L * (bridge_nodes - 1)
-        got = _simulate_chunk(lambdas, count, bridge_nodes, 7)
+        (got,) = _simulate_chunk((lambdas,), count, bridge_nodes, 7)
         monkeypatch.undo()
         sizes = [int(np.prod(shape)) for shape in drawn]
         assert max(sizes) <= max(engine._MC_BLOCK, per_sample)
@@ -318,6 +319,37 @@ class TestLimitSimulation:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NumericError):
             simulate_limit_samples([-1.0], 10)
+
+
+class TestSharedDraw:
+    """Several eigenvalue vectors on one draw of max-L bridges."""
+
+    @pytest.mark.parametrize("mc_samples", [1, 300, 2000])  # 1 and 300: a partial chunk
+    @pytest.mark.parametrize("bridge_nodes", [64, 101, 1001])
+    @pytest.mark.parametrize("la, lb", [(4, 2), (1, 5), (10, 1), (3, 3)])
+    def test_each_vector_gets_its_zero_padded_standalone_draw(self, la, lb, bridge_nodes,
+                                                              mc_samples):
+        lam_a, lam_b = np.linspace(1.0, 0.1, la), np.linspace(0.8, 0.05, lb)
+        got_a, got_b = _simulate_limit_samples((lam_a, lam_b), mc_samples, bridge_nodes,
+                                               seed=21, threads=2)
+        larger, smaller = (lam_a, lam_b) if la >= lb else (lam_b, lam_a)
+        got_larger, got_smaller = (got_a, got_b) if la >= lb else (got_b, got_a)
+        # at equal L the padding is empty: both vectors get their own standalone draws
+        padded = np.concatenate([smaller, np.zeros(larger.size - smaller.size)])
+        assert np.array_equal(got_larger,
+                              simulate_limit_samples(larger, mc_samples, bridge_nodes, seed=21))
+        assert np.array_equal(got_smaller,
+                              simulate_limit_samples(padded, mc_samples, bridge_nodes, seed=21))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad, error", [([], DegenerateInputError),
+                                            ([0.5, -1.0], NumericError),
+                                            ([np.nan], NumericError)])
+    def test_bad_vector_in_any_position_rejected(self, position, bad, error):
+        eigens = [[1.0, 0.5], [0.3], [0.2, 0.1]]
+        eigens[position] = bad
+        with pytest.raises(error):
+            _simulate_limit_samples(eigens, 10, bridge_nodes=64)
 
 
 class TestPValue:

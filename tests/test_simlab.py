@@ -7,7 +7,9 @@ import pytest
 
 from bayes_cpd import (
     ExperimentConfig,
+    Grid,
     b_dist,
+    clean_and_detect,
     contaminate,
     detect,
     first_moment,
@@ -19,7 +21,9 @@ from bayes_cpd import (
     run_experiment,
 )
 from bayes_cpd import simlab
-from bayes_cpd.errors import DomainError, StructuralError
+from bayes_cpd.engine import p_value, simulate_limit_samples
+from bayes_cpd.errors import DegenerateInputError, DomainError, StructuralError
+from bayes_cpd.seeds import derive_seed
 from bayes_cpd.simlab import MODEL2_MEAN, summarize_records
 
 from helpers import b_mean, scalar_cusum_statistic
@@ -228,6 +232,14 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="detector bug"):
             run_experiment(ExperimentConfig(replicates=1, **self.CFG))
 
+    def test_programming_errors_propagate_from_paired_arms(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("detector bug")
+
+        monkeypatch.setattr(simlab, "_detect_statistic", broken)
+        with pytest.raises(TypeError, match="detector bug"):
+            run_experiment(ExperimentConfig(replicates=1, compare_l2=True, **self.CFG))
+
     def test_invalid_generator_rejected(self):
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="nope")
@@ -237,3 +249,61 @@ class TestRunExperiment:
     def test_invalid_settings_rejected_before_any_replicate(self, bad):
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="model1", **bad)
+
+
+class TestPairedArms:
+    """``compare_l2`` replicates: one Monte Carlo draw serves both arms."""
+
+    # A weak early break: both arms' p-values are clear of 0, and the L2 arm
+    # retains more eigenvalues than the Bayes arm in every replicate.
+    CFG = dict(generator="model3", n=40, k_star=6, mc_samples=200, grid_nodes=128, seed=8,
+               contamination_count=8, clean=True, compare_l2=True)
+
+    @staticmethod
+    def standalone(config, r):
+        """Each arm of replicate r run alone: (Bayes result, raw-L2 result)."""
+        mc_seed = derive_seed(derive_seed(config.seed, r), 1)
+        seq, _ = simlab.replicate_sequence(config.generator, config.n, config.k_star,
+                                           config.contamination_count,
+                                           derive_seed(config.seed, r), Grid(config.grid_nodes))
+        kwargs = dict(mc_samples=config.mc_samples, seed=mc_seed)
+        _, bayes = clean_and_detect(seq, **kwargs)
+        return bayes, detect(seq, method="l2-raw", **kwargs)
+
+    def test_thread_invariant_and_larger_arm_draws_as_standalone(self):
+        base = ExperimentConfig(replicates=3, **self.CFG)
+        a = run_experiment(dataclasses.replace(base, threads=1))
+        b = run_experiment(dataclasses.replace(base, threads=3))
+        assert a.records == b.records and a.summaries == b.summaries
+        differing_L = 0
+        for r in range(base.replicates):
+            bayes, l2 = self.standalone(base, r)
+            got = {rec.method: rec for rec in a.records if rec.replicate == r}
+            assert (got["bayes-clr"].k_hat, got["l2-raw"].k_hat) == (bayes.k_hat, l2.k_hat)
+            larger, smaller = (bayes, l2) if bayes.L >= l2.L else (l2, bayes)
+            differing_L += larger.L > smaller.L
+            assert got[larger.method].p_value == larger.p_value
+            padded = smaller.eigenvalues + (0.0,) * (larger.L - smaller.L)
+            samples = simulate_limit_samples(padded, base.mc_samples, seed=larger.seed)
+            assert got[smaller.method].p_value == p_value(smaller.statistic, samples)
+        assert differing_L == base.replicates  # the case the shared draw changes
+
+    @pytest.mark.parametrize("failing", ["bayes-clr", "l2-raw"])
+    def test_failing_arm_recorded_and_other_arm_draws_alone(self, monkeypatch, failing):
+        stage = simlab._detect_statistic
+
+        def fail_one(seq, theta, method, centering):
+            if method == failing:
+                raise DegenerateInputError("forced")
+            return stage(seq, theta, method, centering)
+
+        monkeypatch.setattr(simlab, "_detect_statistic", fail_one)
+        config = ExperimentConfig(replicates=1, **self.CFG)
+        error, ok = run_experiment(config).records
+        if failing == "l2-raw":
+            ok, error = error, ok
+        assert error.method == "error"
+        assert error.error == f"{failing}: DegenerateInputError: forced"
+        bayes, l2 = self.standalone(config, 0)
+        want = l2 if failing == "bayes-clr" else bayes
+        assert (ok.method, ok.k_hat, ok.p_value) == (want.method, want.k_hat, want.p_value)
