@@ -219,9 +219,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
     config = ExperimentConfig(**{**settings, "threads": resolve_threads(args.threads)})
     report = run_experiment(config)
-    if "error" in report.summaries:
-        print(f"{report.summaries['error'].count} of {config.replicates} replicates errored",
-              file=sys.stderr)
+    errored = {r.replicate for r in report.records if r.error is not None}
+    if errored:
+        print(f"{len(errored)} of {config.replicates} replicates errored", file=sys.stderr)
     bio.write_experiment_outputs(args.out_dir, report)
     return 0
 

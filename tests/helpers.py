@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import zeta
 
 from bayes_cpd import (
     ClrFunction,
@@ -108,7 +109,12 @@ def scalar_cusum_statistic(values) -> float:
 def reference_simulate_chunk(lambdas: np.ndarray, count: int, bridge_nodes: int,
                              chunk_seed: int) -> np.ndarray:
     """Reference for ``engine._simulate_chunk``: one (count, L, steps) draw,
-    reduced whole.  Its temporaries grow as count x L x steps doubles."""
+    reduced whole, with the continuity-corrected maximum of each sample.
+
+    On u = lambda / max(lambda), a sample is max(lambda) times
+    (sqrt(S) + 0.5826 sigma sqrt(dt))^2 at the node of its largest
+    S = sum_l u_l B_l^2, where sigma^2 = sum_l u_l^2 B_l^2 / S there (0 if
+    S = 0).  Its temporaries grow as count x L x steps doubles."""
     rng = np.random.default_rng(chunk_seed)
     steps = bridge_nodes - 1
     dt = 1.0 / steps
@@ -116,8 +122,20 @@ def reference_simulate_chunk(lambdas: np.ndarray, count: int, bridge_nodes: int,
     incr = rng.standard_normal((count, lambdas.size, steps)) * np.sqrt(dt)
     walk = np.cumsum(incr, axis=2)
     bridge = walk - t[None, None, :] * walk[:, :, -1:]
-    weighted = np.einsum("l,klj->kj", lambdas, bridge * bridge)
-    return weighted.max(axis=1)
+    squared = bridge * bridge
+    scale = lambdas.max()
+    units = lambdas / scale if scale > 0 else lambdas
+    weighted = np.einsum("l,klj->kj", units, squared)
+    node = np.argmax(weighted, axis=1)
+    top = np.take_along_axis(weighted, node[:, None], axis=1)[:, 0]
+    at_node = np.take_along_axis(squared, node[:, None, None], axis=2)[:, :, 0]
+    local = np.zeros(count)
+    for l, u_sq in enumerate(units * units):
+        local += u_sq * at_node[:, l]
+    var = np.zeros(count)
+    var[top > 0] = local[top > 0] / top[top > 0]
+    shift = -zeta(0.5) / np.sqrt(2.0 * np.pi)
+    return scale * (np.sqrt(top) + shift * np.sqrt(var) * np.sqrt(dt)) ** 2
 
 
 def dense_covariance_eigen(res: np.ndarray, weights: np.ndarray,

@@ -437,6 +437,20 @@ class TestExperimentCommand:
         validate(payload, "experiment_report")
         assert payload["summaries"]["error"]["count"] == 3
 
+    def test_errored_replicates_counted_once_when_both_arms_raise(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateInputError("nothing to detect")
+
+        monkeypatch.setattr(simlab, "_detect_statistic", degenerate)
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--generator", "model2", "--replicates", "2",
+                     "--n", "30", "--k-star", "15", "--grid-nodes", "128", "--compare-l2",
+                     "--out-dir", str(out_dir)]) == 0
+        assert "2 of 2 replicates errored" in capsys.readouterr().err
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["summaries"]["error"]["count"] == 4  # one record per arm
+
     def test_alpha_out_of_range_exit_two_without_report(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         assert main(["experiment", "--generator", "model2", "--replicates", "3",

@@ -277,6 +277,20 @@ class TestLimitSimulation:
         emp = float(np.percentile(np.sqrt(samples), 95))
         assert emp == pytest.approx(kolmogorov_quantile(0.95), rel=0.025)
 
+    def test_corrected_single_bridge_tail_share_at_default_nodes(self):
+        # the continuity shift puts the 101-node sup on the continuous law
+        samples = simulate_limit_samples([1.0], 40_000, seed=5, threads=2)
+        share = float(np.mean(samples >= kolmogorov_quantile(0.95) ** 2))
+        se = np.sqrt(0.05 * 0.95 / samples.size)
+        assert abs(share - 0.05) <= 3.0 * se, share
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eigen", [[0.0], [0.0, 0.0], [1.0, 0.0], [0.6, 0.3, 0.0, 0.0]])
+    def test_zero_and_zero_padded_vectors_give_finite_samples(self, eigen):
+        samples = simulate_limit_samples(eigen, 300, bridge_nodes=64, seed=2)
+        assert np.all(np.isfinite(samples)) and np.all(samples >= 0.0)
+        assert np.all(samples == 0.0) == (max(eigen) == 0.0)
+
     @pytest.mark.parametrize("bridge_nodes", [64, 1001])
     @pytest.mark.parametrize("count", [256, 208])
     @pytest.mark.parametrize("L", [1, 3, 10, 28])
