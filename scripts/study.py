@@ -44,16 +44,13 @@ from bayes_cpd import (
     ExperimentConfig,
     Grid,
     beta_density,
-    clean_and_detect,
     detect,
     run_experiment,
     simulate_limit_samples,
     zero_avoid,
 )
 from bayes_cpd.engine import DEFAULT_BRIDGE_NODES, DEFAULT_MC_SAMPLES, METHOD_BAYES, METHOD_L2
-from bayes_cpd.errors import BayesCpdError
 from bayes_cpd.seeds import derive_seed
-from bayes_cpd.simlab import replicate_sequence
 
 #: Pooled binomial standard errors a data arm's rejection rate may move.
 RATE_Z = 3.0
@@ -137,47 +134,19 @@ def null_arm(n: int, reps: int, seed: int, threads: int) -> dict:
             "methods": {METHOD_BAYES: method_entry(rejected, None, ells, 0)}}
 
 
-def retained_count(config: ExperimentConfig, r: int, grid: Grid,
-                   method: str) -> tuple[int | str, int | None]:
-    """L and k_hat of one arm of replicate r, from a one-sample rerun of its
-    detection; ("error", None) where the arm raises.
-
-    k_hat does not depend on the Monte Carlo, so the caller checks it
-    against the experiment's record.
-    """
-    seq, _ = replicate_sequence(config.generator, config.n, config.k_star,
-                                config.contamination_count, derive_seed(config.seed, r), grid)
-    kwargs = dict(mc_samples=1, theta=config.theta, centering=config.centering)
-    try:
-        if method == METHOD_BAYES and config.clean:
-            result = clean_and_detect(seq, **kwargs)[1]
-        else:
-            result = detect(seq, method=method, **kwargs)
-    except BayesCpdError:
-        return "error", None
-    return result.L, result.k_hat
-
-
 def experiment_arm(overrides: dict, reps: int, seed: int, threads: int) -> dict:
     """Both arms of a paired Bayes-against-raw-L2 experiment."""
     config = ExperimentConfig(replicates=reps, seed=seed, threads=threads, compare_l2=True,
                               **overrides)
     report = run_experiment(config)
-    grid = Grid(config.grid_nodes)
     methods, shared = {}, [0] * reps
     for method in (METHOD_BAYES, METHOD_L2):
         records = {rec.replicate: rec for rec in report.records_for(method)}
         errored = sum(1 for rec in report.records
                       if rec.error is not None and rec.error.startswith(f"{method}: "))
-        ells = []
-        for r in range(reps):
-            ell, k_hat = retained_count(config, r, grid, method)
-            if r in records and k_hat != records[r].k_hat:
-                raise RuntimeError(f"replicate {r} {method}: k_hat {k_hat} does not "
-                                   f"match the experiment's {records[r].k_hat}")
-            ells.append(ell)
-            if isinstance(ell, int):
-                shared[r] = max(shared[r], ell)
+        ells = [records[r].L if r in records else "error" for r in range(reps)]
+        for r, rec in records.items():
+            shared[r] = max(shared[r], rec.L)
         rows = [records[r] for r in sorted(records)]
         methods[method] = method_entry([rec.rejected for rec in rows],
                                        [rec.abs_error for rec in rows], ells, errored)

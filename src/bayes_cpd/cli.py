@@ -342,10 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (BayesCpdError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

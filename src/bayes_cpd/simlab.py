@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cleaning import clean, clean_and_detect
+from .cleaning import clean
 from .density import (
     DEFAULT_NODE_COUNT,
     Grid,
@@ -35,7 +35,6 @@ from .engine import (
     DetectionResult,
     DistributionalSequence,
     check_settings,
-    detect,
     _detect_result,
     _detect_statistic,
     _simulate_limit_samples,
@@ -251,7 +250,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicateRecord:
-    """One detection outcome inside an experiment."""
+    """One detection outcome inside an experiment; ``L`` is the arm's
+    retained eigenvalue count, 0 on an error record."""
 
     replicate: int
     method: str
@@ -259,6 +259,7 @@ class ReplicateRecord:
     abs_error: int
     p_value: float
     rejected: bool
+    L: int = 0
     cleaned_indices: tuple[int, ...] = ()
     contaminated_indices: tuple[int, ...] = ()
     error: str | None = None
@@ -309,21 +310,22 @@ def summarize_records(records) -> dict[str, MethodSummary]:
 
 
 def _paired_arms(
-    config: ExperimentConfig, seq: DistributionalSequence, mc_seed: int
+    config: ExperimentConfig, seq: DistributionalSequence, mc_seed: int,
+    methods: tuple[str, ...],
 ) -> list[tuple[str, DetectionResult | BayesCpdError, tuple[int, ...]]]:
-    """Both arms of a ``compare_l2`` replicate on one Monte Carlo draw.
+    """The arms of one replicate, one per method, on one Monte Carlo draw.
 
     Each arm runs detection up to its Monte Carlo: the Bayes arm on the
     cleaned subsequence when ``clean`` is set, the raw-L2 arm on the
     uncleaned sequence.  The arms that retained eigenvalues then share one
     draw of bridges, so the arm with the larger L gets the samples of a
-    standalone detection.  An arm that raises a :class:`BayesCpdError`
-    yields that error and the other arm draws alone.  Returns, per arm in
-    method order, the method, its result or error and the indices its
-    cleaning removed.
+    standalone detection; a lone arm always does.  An arm that raises a
+    :class:`BayesCpdError` yields that error and the other arm draws alone.
+    Returns, per arm in ``methods`` order, the method, its result or error
+    and the indices its cleaning removed.
     """
     staged = []
-    for method in (METHOD_BAYES, METHOD_L2):
+    for method in methods:
         report = None
         try:
             arm_seq = seq
@@ -357,54 +359,31 @@ def _paired_arms(
 
 def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[ReplicateRecord]:
     rep_seed = derive_seed(config.seed, r)
-    mc_seed = derive_seed(rep_seed, 1)
     seq, truth = replicate_sequence(config.generator, config.n, config.k_star,
                                     config.contamination_count, rep_seed, grid)
-
+    methods = (METHOD_BAYES, METHOD_L2) if config.compare_l2 else (METHOD_BAYES,)
     records = []
-
-    def record(result: DetectionResult, cleaned: tuple[int, ...] = ()) -> None:
-        records.append(ReplicateRecord(
-            replicate=r,
-            method=result.method,
-            k_hat=result.k_hat,
-            abs_error=abs(result.k_hat - config.k_star),
-            p_value=result.p_value,
-            rejected=result.reject_null,
-            cleaned_indices=cleaned,
-            contaminated_indices=truth,
-        ))
-
-    def record_error(exc: BayesCpdError, prefix: str = "") -> None:
-        records.append(ReplicateRecord(
-            replicate=r, method="error", k_hat=0, abs_error=0,
-            p_value=float("nan"), rejected=False,
-            contaminated_indices=truth, error=f"{prefix}{type(exc).__name__}: {exc}",
-        ))
-
-    if config.compare_l2:
-        for method, outcome, cleaned in _paired_arms(config, seq, mc_seed):
-            if isinstance(outcome, BayesCpdError):
-                record_error(outcome, prefix=f"{method}: ")
-            else:
-                record(outcome, cleaned)
-        return records
-    detect_kwargs = dict(
-        alpha=config.alpha,
-        mc_samples=config.mc_samples,
-        theta=config.theta,
-        seed=mc_seed,
-        centering=config.centering,
-        bridge_nodes=config.bridge_nodes,
-    )
-    try:
-        if config.clean:
-            report, result = clean_and_detect(seq, **detect_kwargs)
-            record(result, cleaned=report.removed_indices)
+    for method, outcome, cleaned in _paired_arms(config, seq, derive_seed(rep_seed, 1),
+                                                 methods):
+        if isinstance(outcome, BayesCpdError):  # recorded, not fatal
+            prefix = f"{method}: " if config.compare_l2 else ""
+            records.append(ReplicateRecord(
+                replicate=r, method="error", k_hat=0, abs_error=0,
+                p_value=float("nan"), rejected=False, contaminated_indices=truth,
+                error=f"{prefix}{type(outcome).__name__}: {outcome}",
+            ))
         else:
-            record(detect(seq, **detect_kwargs))
-    except BayesCpdError as exc:  # input-level failures are recorded, not fatal
-        record_error(exc)
+            records.append(ReplicateRecord(
+                replicate=r,
+                method=outcome.method,
+                k_hat=outcome.k_hat,
+                abs_error=abs(outcome.k_hat - config.k_star),
+                p_value=outcome.p_value,
+                rejected=outcome.reject_null,
+                L=outcome.L,
+                cleaned_indices=cleaned,
+                contaminated_indices=truth,
+            ))
     return records
 
 
@@ -412,10 +391,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured replicates and aggregate their outcomes.
 
     Replicate r depends only on (config.seed, r); replicates may execute
-    in parallel and are reported in replicate order either way.  The
-    raw-L2 comparison arm always sees the uncleaned (possibly
-    contaminated) sequence, and shares one Monte Carlo draw with the
-    Bayes arm (see :func:`_paired_arms`).
+    in parallel and are reported in replicate order either way.  Each
+    replicate runs its arms through :func:`_paired_arms`: the raw-L2
+    comparison arm always sees the uncleaned (possibly contaminated)
+    sequence, and shares one Monte Carlo draw with the Bayes arm.
     """
     grid = Grid(config.grid_nodes)
     per_rep = parallel_map(

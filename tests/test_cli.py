@@ -137,6 +137,15 @@ class TestDetectCommand:
         assert capsys.readouterr().err == "error: Unable to allocate 84.0 TiB for an array\n"
         assert not out.exists()
 
+    def test_error_without_a_message_names_its_type(self, tmp_path, capsys):
+        # The chunk list of this many samples cannot be built: its MemoryError,
+        # raised before anything is allocated, carries no message.
+        out = tmp_path / "r.json"
+        assert main(["detect", str(_small_break_csv(tmp_path)), "--mc-samples",
+                     "99999999999999999999", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
+
     def test_config_file_overridden_by_flags(self, sim_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mc_samples = 100\nseed = 9\nalpha = 0.01\n")
@@ -427,7 +436,7 @@ class TestExperimentCommand:
         def degenerate(*args, **kwargs):
             raise DegenerateInputError("nothing to detect")
 
-        monkeypatch.setattr(simlab, "detect", degenerate)
+        monkeypatch.setattr(simlab, "_detect_statistic", degenerate)
         out_dir = tmp_path / "out"
         assert main(["experiment", "--generator", "model2", "--replicates", "3",
                      "--n", "30", "--k-star", "15", "--grid-nodes", "128",

@@ -89,14 +89,15 @@ def test_ingestion_report_keys_follow_the_schema():
 
 def test_experiment_report_keys_follow_the_schema(monkeypatch):
     calls = []
+    stage = simlab._detect_statistic
 
     def first_call_fails(*args, **kwargs):
         calls.append(args)
         if len(calls) == 1:
             raise DegenerateInputError("nothing to detect")
-        return detect(*args, **kwargs)
+        return stage(*args, **kwargs)
 
-    monkeypatch.setattr(simlab, "detect", first_call_fails)
+    monkeypatch.setattr(simlab, "_detect_statistic", first_call_fails)
     config = ExperimentConfig(generator="model2", n=30, k_star=15, replicates=2,
                               grid_nodes=128, mc_samples=100)
     payload = json.loads(dump_json(experiment_report_to_dict(run_experiment(config))))

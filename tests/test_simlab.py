@@ -224,21 +224,14 @@ class TestRunExperiment:
         assert rec.contaminated_indices != ()
         assert set(rec.cleaned_indices) & set(rec.contaminated_indices)
 
-    def test_programming_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("detector bug")
-
-        monkeypatch.setattr(simlab, "detect", broken)
-        with pytest.raises(TypeError, match="detector bug"):
-            run_experiment(ExperimentConfig(replicates=1, **self.CFG))
-
-    def test_programming_errors_propagate_from_paired_arms(self, monkeypatch):
+    @pytest.mark.parametrize("compare_l2", [False, True])
+    def test_programming_errors_propagate(self, monkeypatch, compare_l2):
         def broken(*args, **kwargs):
             raise TypeError("detector bug")
 
         monkeypatch.setattr(simlab, "_detect_statistic", broken)
         with pytest.raises(TypeError, match="detector bug"):
-            run_experiment(ExperimentConfig(replicates=1, compare_l2=True, **self.CFG))
+            run_experiment(ExperimentConfig(replicates=1, compare_l2=compare_l2, **self.CFG))
 
     def test_invalid_generator_rejected(self):
         with pytest.raises(StructuralError):
@@ -280,6 +273,7 @@ class TestPairedArms:
             bayes, l2 = self.standalone(base, r)
             got = {rec.method: rec for rec in a.records if rec.replicate == r}
             assert (got["bayes-clr"].k_hat, got["l2-raw"].k_hat) == (bayes.k_hat, l2.k_hat)
+            assert (got["bayes-clr"].L, got["l2-raw"].L) == (bayes.L, l2.L)
             larger, smaller = (bayes, l2) if bayes.L >= l2.L else (l2, bayes)
             differing_L += larger.L > smaller.L
             assert got[larger.method].p_value == larger.p_value
@@ -287,6 +281,32 @@ class TestPairedArms:
             samples = simulate_limit_samples(padded, base.mc_samples, seed=larger.seed)
             assert got[smaller.method].p_value == p_value(smaller.statistic, samples)
         assert differing_L == base.replicates  # the case the shared draw changes
+
+    @pytest.mark.parametrize("contamination_count", [0, 8])
+    @pytest.mark.parametrize("clean", [False, True])
+    def test_single_arm_records_equal_a_standalone_detection(self, contamination_count,
+                                                              clean):
+        config = ExperimentConfig(replicates=3, **{
+            **self.CFG, "compare_l2": False, "clean": clean,
+            "contamination_count": contamination_count})
+        report = run_experiment(config)
+        assert len(report.records) == config.replicates
+        for r, rec in enumerate(report.records):
+            mc_seed = derive_seed(derive_seed(config.seed, r), 1)
+            seq, truth = simlab.replicate_sequence(
+                config.generator, config.n, config.k_star, contamination_count,
+                derive_seed(config.seed, r), Grid(config.grid_nodes))
+            kwargs = dict(mc_samples=config.mc_samples, seed=mc_seed)
+            cleaned = ()
+            if clean:
+                cleaning, want = clean_and_detect(seq, **kwargs)
+                cleaned = cleaning.removed_indices
+            else:
+                want = detect(seq, **kwargs)
+            assert (rec.replicate, rec.method, rec.error) == (r, "bayes-clr", None)
+            assert (rec.k_hat, rec.p_value, rec.rejected, rec.cleaned_indices, rec.L) == (
+                want.k_hat, want.p_value, want.reject_null, cleaned, want.L)
+            assert rec.contaminated_indices == truth
 
     @pytest.mark.parametrize("failing", ["bayes-clr", "l2-raw"])
     def test_failing_arm_recorded_and_other_arm_draws_alone(self, monkeypatch, failing):
