@@ -132,12 +132,18 @@ def _emit_json(obj: dict, path: str | None) -> None:
 
 
 def _check_outputs(*paths: str | None) -> None:
-    """Refuse an output file whose directory is missing or which is a directory."""
+    """Refuse an output file whose directory is missing, which is a directory,
+    or which an earlier output of the same command already names."""
+    seen = set()
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise StructuralError(f"output path is a directory: {path}")
         if not Path(path).parent.is_dir():
             raise StructuralError(f"output directory does not exist: {path}")
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise StructuralError(f"output path given twice: {path}")
+        seen.add(resolved)
 
 
 def _read_sequence(path: str) -> DistributionalSequence:

@@ -331,7 +331,10 @@ def _simulate_limit_samples(
     Returns one sample array per vector.  The longest vector, of length
     L_max, gets exactly its standalone samples; a vector of length L gets
     the standalone samples of itself padded with L_max - L zeros, which
-    follow the same law.
+    follow the same law.  The two arms of a ``compare_l2`` experiment
+    replicate share one draw this way: the arm with the larger L gets its
+    own samples from :func:`simulate_limit_samples`, and the other arm the
+    samples of its eigenvalues padded with zeros to that L.
     """
     lambdas = tuple(_checked_eigenvalues(eigen) for eigen in eigens)
     check_settings(mc_samples=mc_samples, bridge_nodes=bridge_nodes)
@@ -373,10 +376,7 @@ def simulate_limit_samples(
     Samples are generated in fixed-size chunks with seeds derived from
     ``(seed, chunk)``, so output is independent of thread count.  The
     normals are laid out as (sample, L, step), so a vector padded with
-    zeros keeps its law but not its samples.  The two arms of a
-    ``compare_l2`` experiment replicate share one draw this way: the arm
-    with the larger L gets its own samples from this function, and the
-    other arm the samples of its eigenvalues padded with zeros to that L.
+    zeros keeps its law but not its samples.
     """
     return _simulate_limit_samples((eigen,), mc_samples, bridge_nodes, seed, threads)[0]
 

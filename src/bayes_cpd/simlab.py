@@ -11,7 +11,7 @@ and aggregates localization errors and rejection rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,6 @@ from .engine import (
     DEFAULT_THETA,
     METHOD_BAYES,
     METHOD_L2,
-    DetectionResult,
     DistributionalSequence,
     check_settings,
     _detect_result,
@@ -251,14 +250,15 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ReplicateRecord:
     """One detection outcome inside an experiment; ``L`` is the arm's
-    retained eigenvalue count, 0 on an error record."""
+    retained eigenvalue count.  An error record (method ``"error"``) keeps
+    the defaults: k_hat, abs_error and L 0, p_value NaN, not rejected."""
 
     replicate: int
     method: str
-    k_hat: int
-    abs_error: int
-    p_value: float
-    rejected: bool
+    k_hat: int = 0
+    abs_error: int = 0
+    p_value: float = float("nan")
+    rejected: bool = False
     L: int = 0
     cleaned_indices: tuple[int, ...] = ()
     contaminated_indices: tuple[int, ...] = ()
@@ -309,81 +309,64 @@ def summarize_records(records) -> dict[str, MethodSummary]:
     return out
 
 
-def _paired_arms(
-    config: ExperimentConfig, seq: DistributionalSequence, mc_seed: int,
-    methods: tuple[str, ...],
-) -> list[tuple[str, DetectionResult | BayesCpdError, tuple[int, ...]]]:
-    """The arms of one replicate, one per method, on one Monte Carlo draw.
+def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[ReplicateRecord]:
+    """The records of replicate r, one per arm, on one Monte Carlo draw.
 
     Each arm runs detection up to its Monte Carlo: the Bayes arm on the
     cleaned subsequence when ``clean`` is set, the raw-L2 arm on the
     uncleaned sequence.  The arms that retained eigenvalues then share one
     draw of bridges, so the arm with the larger L gets the samples of a
     standalone detection; a lone arm always does.  An arm that raises a
-    :class:`BayesCpdError` yields that error and the other arm draws alone.
-    Returns, per arm in ``methods`` order, the method, its result or error
-    and the indices its cleaning removed.
+    :class:`BayesCpdError` gets an error record, prefixed with its method
+    when both arms run; failing before the draw, it leaves the other arm
+    to draw alone.
     """
-    staged = []
-    for method in methods:
-        report = None
-        try:
-            arm_seq = seq
-            if config.clean and method == METHOD_BAYES:
-                report = clean(seq)
-                arm_seq = seq.subsequence(report.kept_indices)
-            staged.append((method, _detect_statistic(arm_seq, config.theta, method,
-                                                     config.centering), report))
-        except BayesCpdError as exc:
-            staged.append((method, exc, None))
-    live = [stat for _, stat, _ in staged
-            if not isinstance(stat, BayesCpdError) and stat.eigenvalues]
-    draws = iter(_simulate_limit_samples(
-        [stat.eigenvalues for stat in live], config.mc_samples,
-        bridge_nodes=config.bridge_nodes, seed=mc_seed,
-    ) if live else ())
-    arms = []
-    for method, outcome, report in staged:
-        if not isinstance(outcome, BayesCpdError):
-            samples = next(draws) if outcome.eigenvalues else None
-            try:
-                outcome = _detect_result(outcome, samples, config.alpha, config.mc_samples,
-                                         mc_seed)
-            except BayesCpdError as exc:
-                outcome = exc
-        if report is not None and isinstance(outcome, DetectionResult):
-            outcome = dc_replace(outcome, k_hat=report.map_position(outcome.k_hat))
-        arms.append((method, outcome, report.removed_indices if report else ()))
-    return arms
-
-
-def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[ReplicateRecord]:
     rep_seed = derive_seed(config.seed, r)
+    mc_seed = derive_seed(rep_seed, 1)
     seq, truth = replicate_sequence(config.generator, config.n, config.k_star,
                                     config.contamination_count, rep_seed, grid)
     methods = (METHOD_BAYES, METHOD_L2) if config.compare_l2 else (METHOD_BAYES,)
+    staged = []  # per arm: its method, cleaning report, and statistic or error
+    for method in methods:
+        report = None
+        try:
+            if config.clean and method == METHOD_BAYES:
+                report = clean(seq)
+            arm_seq = seq if report is None else seq.subsequence(report.kept_indices)
+            stat = _detect_statistic(arm_seq, config.theta, method, config.centering)
+        except BayesCpdError as exc:
+            stat = exc
+        staged.append((method, report, stat))
+    eigens = [stat.eigenvalues for _, _, stat in staged
+              if not isinstance(stat, BayesCpdError) and stat.eigenvalues]
+    draws = iter(_simulate_limit_samples(eigens, config.mc_samples,
+                                         bridge_nodes=config.bridge_nodes, seed=mc_seed)
+                 if eigens else ())
     records = []
-    for method, outcome, cleaned in _paired_arms(config, seq, derive_seed(rep_seed, 1),
-                                                 methods):
-        if isinstance(outcome, BayesCpdError):  # recorded, not fatal
+    for method, report, stat in staged:
+        try:
+            if isinstance(stat, BayesCpdError):
+                raise stat
+            samples = next(draws) if stat.eigenvalues else None
+            result = _detect_result(stat, samples, config.alpha, config.mc_samples, mc_seed)
+        except BayesCpdError as exc:  # recorded, not fatal
             prefix = f"{method}: " if config.compare_l2 else ""
-            records.append(ReplicateRecord(
-                replicate=r, method="error", k_hat=0, abs_error=0,
-                p_value=float("nan"), rejected=False, contaminated_indices=truth,
-                error=f"{prefix}{type(outcome).__name__}: {outcome}",
-            ))
-        else:
-            records.append(ReplicateRecord(
-                replicate=r,
-                method=outcome.method,
-                k_hat=outcome.k_hat,
-                abs_error=abs(outcome.k_hat - config.k_star),
-                p_value=outcome.p_value,
-                rejected=outcome.reject_null,
-                L=outcome.L,
-                cleaned_indices=cleaned,
-                contaminated_indices=truth,
-            ))
+            records.append(ReplicateRecord(replicate=r, method="error",
+                                           contaminated_indices=truth,
+                                           error=f"{prefix}{type(exc).__name__}: {exc}"))
+            continue
+        k_hat = result.k_hat if report is None else report.map_position(result.k_hat)
+        records.append(ReplicateRecord(
+            replicate=r,
+            method=method,
+            k_hat=k_hat,
+            abs_error=abs(k_hat - config.k_star),
+            p_value=result.p_value,
+            rejected=result.reject_null,
+            L=result.L,
+            cleaned_indices=() if report is None else report.removed_indices,
+            contaminated_indices=truth,
+        ))
     return records
 
 
@@ -391,10 +374,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured replicates and aggregate their outcomes.
 
     Replicate r depends only on (config.seed, r); replicates may execute
-    in parallel and are reported in replicate order either way.  Each
-    replicate runs its arms through :func:`_paired_arms`: the raw-L2
-    comparison arm always sees the uncleaned (possibly contaminated)
-    sequence, and shares one Monte Carlo draw with the Bayes arm.
+    in parallel and are reported in replicate order either way.  With
+    ``compare_l2`` the raw-L2 arm always sees the uncleaned (possibly
+    contaminated) sequence, and shares one Monte Carlo draw with the Bayes
+    arm.
     """
     grid = Grid(config.grid_nodes)
     per_rep = parallel_map(

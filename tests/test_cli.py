@@ -622,6 +622,20 @@ class TestOutputPaths:
         assert not first.exists()
 
 
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_two_outputs_naming_one_file_exit_two(self, sim_csv, tmp_path, capsys,
+                                                  monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv, second = {
+            "simulate": (["simulate", "--generator", "model1", "--n", "40", "--kstar", "20",
+                          "--out", "s.csv", "--sidecar"], str(tmp_path / "s.csv")),
+            "detect": (["detect", str(sim_csv), "--mc-samples", "50", "--out", "r.json",
+                        "--profile-csv"], "./r.json"),
+        }[command]
+        assert main(argv + [second]) == 2
+        assert capsys.readouterr().err == f"error: output path given twice: {second}\n"
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "r.json").exists()
+
 class TestDeterminism:
     def test_detect_byte_identical_across_thread_counts(self, sim_csv, tmp_path):
         outs = []

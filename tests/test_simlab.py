@@ -1,6 +1,7 @@
 """Generators, contamination, and the repeated-experiment harness."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bayes_cpd import (
 from bayes_cpd import simlab
 from bayes_cpd.engine import p_value, simulate_limit_samples
 from bayes_cpd.errors import DegenerateInputError, DomainError, StructuralError
+from bayes_cpd.io import dump_json, experiment_report_to_dict
 from bayes_cpd.seeds import derive_seed
 from bayes_cpd.simlab import MODEL2_MEAN, summarize_records
 
@@ -327,3 +329,32 @@ class TestPairedArms:
         bayes, l2 = self.standalone(config, 0)
         want = l2 if failing == "bayes-clr" else bayes
         assert (ok.method, ok.k_hat, ok.p_value) == (want.method, want.k_hat, want.p_value)
+
+    @pytest.mark.parametrize("failing", ["bayes-clr", "l2-raw"])
+    def test_arm_failing_after_the_draw_leaves_the_shared_draw(self, monkeypatch, failing):
+        config = ExperimentConfig(replicates=1, **self.CFG)
+        shared = {rec.method: rec for rec in run_experiment(config).records}
+        stage = simlab._detect_result
+
+        def fail_one(stat, *args):
+            if stat.method == failing:
+                raise DegenerateInputError("forced")
+            return stage(stat, *args)
+
+        monkeypatch.setattr(simlab, "_detect_result", fail_one)
+        report = run_experiment(config)
+        error, ok = report.records
+        if failing == "l2-raw":
+            ok, error = error, ok
+        assert error.method == "error"
+        assert error.error == f"{failing}: DegenerateInputError: forced"
+        assert (error.k_hat, error.abs_error, error.rejected, error.L) == (0, 0, False, 0)
+        assert error.cleaned_indices == ()
+        rows = json.loads(dump_json(experiment_report_to_dict(report)))["replicates"]
+        row = next(row for row in rows if row["method"] == "error")
+        assert (row["p_value"], row["k_hat"], row["L"]) == (None, 0, 0)
+        # The other arm's p-value comes from the draw that both arms' spectra shaped.
+        assert ok == shared[ok.method]
+        if failing == "l2-raw":  # the larger arm failed, so the Bayes draw was padded
+            bayes, _ = self.standalone(config, 0)
+            assert ok.p_value != bayes.p_value
