@@ -19,8 +19,6 @@ from . import io as bio
 from .cleaning import DEFAULT_WHISKER, clean, clean_and_detect
 from .density import DEFAULT_NODE_COUNT, Grid
 from .engine import (
-    CENTERINGS,
-    CENTERING_GLOBAL,
     DEFAULT_ALPHA,
     DEFAULT_BRIDGE_NODES,
     DEFAULT_MC_SAMPLES,
@@ -88,13 +86,11 @@ def _add_detection_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--bridge-nodes", type=int, default=DEFAULT_BRIDGE_NODES,
                    help="grid nodes per simulated Brownian bridge")
-    p.add_argument("--centering", default=CENTERING_GLOBAL, choices=CENTERINGS,
-                   help="residual centering mode")
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -155,8 +151,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     seq = _read_sequence(args.density_csv)
     detect_kwargs = dict(
         alpha=args.alpha, mc_samples=args.mc_samples, theta=args.theta,
-        seed=args.seed, method=args.method, centering=args.centering,
-        bridge_nodes=args.bridge_nodes, threads=resolve_threads(args.threads),
+        seed=args.seed, method=args.method, bridge_nodes=args.bridge_nodes,
+        threads=resolve_threads(args.threads),
     )
     cleaning_report = None
     if args.clean:

@@ -3,7 +3,7 @@
 The detection pipeline: transform each density (clr for the Bayes-space
 method, identity for the raw-L2 competitor), build the functional CUSUM
 profile over candidate split points, locate the break at the profile's
-argmax, estimate the covariance operator of the transformed residuals,
+argmax, estimate the covariance operator of the residuals about the mean,
 simulate the eigenvalue-weighted Brownian-bridge limit of the test
 statistic by Monte Carlo, and convert the observed maximum into a p-value.
 
@@ -45,9 +45,8 @@ METHOD_BAYES = "bayes-clr"
 METHOD_L2 = "l2-raw"
 METHODS = (METHOD_BAYES, METHOD_L2)
 
-CENTERING_GLOBAL = "global"
-CENTERING_SEGMENTED = "segmented"
-CENTERINGS = (CENTERING_GLOBAL, CENTERING_SEGMENTED)
+#: Residuals are always taken about the sequence mean; every result says so.
+CENTERING = "global"
 
 
 def check_settings(
@@ -55,7 +54,6 @@ def check_settings(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     theta: float = DEFAULT_THETA,
     bridge_nodes: int = DEFAULT_BRIDGE_NODES,
-    centering: str = CENTERING_GLOBAL,
     method: str = METHOD_BAYES,
 ) -> None:
     """Raise :class:`StructuralError` for a detection setting outside its range.
@@ -71,8 +69,6 @@ def check_settings(
         raise StructuralError(f"theta must be in (0, 1], got {theta}")
     if bridge_nodes < 64:
         raise StructuralError(f"bridge_nodes must be >= 64, got {bridge_nodes}")
-    if centering not in CENTERINGS:
-        raise StructuralError(f"unknown centering mode {centering!r}; choose from {CENTERINGS}")
     if method not in METHODS:
         raise StructuralError(f"unknown method {method!r}; choose from {METHODS}")
 
@@ -218,16 +214,9 @@ def cusum_profile(seq: DistributionalSequence, method: str = METHOD_BAYES) -> Cu
     return _profile_from_matrix(_method_matrix(seq, method), seq.grid.weights)
 
 
-def _residual_matrix(mat: np.ndarray, centering: str, k_hat: int | None) -> np.ndarray:
-    """Residuals of a checked centering mode."""
-    if centering == CENTERING_GLOBAL:
-        return mat - mat.mean(axis=0)
-    if k_hat is None or not 1 <= k_hat < mat.shape[0]:
-        raise DegenerateInputError(f"segmented centering needs 1 <= k_hat < n, got {k_hat}")
-    out = np.empty_like(mat)
-    out[:k_hat] = mat[:k_hat] - mat[:k_hat].mean(axis=0)
-    out[k_hat:] = mat[k_hat:] - mat[k_hat:].mean(axis=0)
-    return out
+def _residual_matrix(mat: np.ndarray) -> np.ndarray:
+    """The rows of ``mat`` less their mean."""
+    return mat - mat.mean(axis=0)
 
 
 def _covariance_eigen_from_matrix(
@@ -408,14 +397,11 @@ class _Statistic:
 
     seq: DistributionalSequence
     method: str
-    centering: str
     profile: CusumProfile
     eigenvalues: tuple[float, ...]
 
 
-def _detect_statistic(
-    seq: DistributionalSequence, theta: float, method: str, centering: str
-) -> _Statistic:
+def _detect_statistic(seq: DistributionalSequence, theta: float, method: str) -> _Statistic:
     """Stage 1 of :func:`detect`: profile, break estimate and retained spectrum.
 
     Nothing here depends on the Monte Carlo seed.  Retained eigenvalues
@@ -427,13 +413,11 @@ def _detect_statistic(
     profile = _profile_from_matrix(mat, weights)
     eigenvalues: tuple[float, ...] = ()
     if not profile.degenerate:
-        eigen = _covariance_eigen_from_matrix(
-            _residual_matrix(mat, centering, profile.argmax_k), weights, theta
-        )
+        eigen = _covariance_eigen_from_matrix(_residual_matrix(mat), weights, theta)
         eigenvalues = tuple(float(v) for v in eigen.retained())
         if eigenvalues:
             _checked_eigenvalues(eigenvalues)
-    return _Statistic(seq, method, centering, profile, eigenvalues)
+    return _Statistic(seq, method, profile, eigenvalues)
 
 
 def _detect_result(
@@ -457,7 +441,7 @@ def _detect_result(
         eigenvalues=stat.eigenvalues,
         mc_samples=mc_samples,
         seed=seed,
-        centering=stat.centering,
+        centering=CENTERING,
         degenerate=not stat.eigenvalues,
         method=stat.method,
         increment=increment,
@@ -472,7 +456,6 @@ def detect(
     seed: int = 0,
     *,
     method: str = METHOD_BAYES,
-    centering: str = CENTERING_GLOBAL,
     bridge_nodes: int = DEFAULT_BRIDGE_NODES,
     threads: int = 1,
 ) -> DetectionResult:
@@ -484,8 +467,8 @@ def detect(
     non-rejection with p = 1.  A Bayes-space rejection at an interior split
     carries the estimated mean increment.
     """
-    check_settings(alpha, mc_samples, theta, bridge_nodes, centering, method)
-    stat = _detect_statistic(seq, theta, method, centering)
+    check_settings(alpha, mc_samples, theta, bridge_nodes, method)
+    stat = _detect_statistic(seq, theta, method)
     samples = None
     if stat.eigenvalues:
         samples = simulate_limit_samples(

@@ -25,7 +25,6 @@ from .density import (
     zero_avoid_rows,
 )
 from .engine import (
-    CENTERING_GLOBAL,
     DEFAULT_ALPHA,
     DEFAULT_BRIDGE_NODES,
     DEFAULT_MC_SAMPLES,
@@ -226,7 +225,6 @@ class ExperimentConfig:
     seed: int = 0
     grid_nodes: int = DEFAULT_NODE_COUNT
     bridge_nodes: int = DEFAULT_BRIDGE_NODES
-    centering: str = CENTERING_GLOBAL
     compare_l2: bool = False
     threads: int = 1
 
@@ -243,8 +241,7 @@ class ExperimentConfig:
             )
         if self.replicates < 1:
             raise StructuralError("replicates must be >= 1")
-        check_settings(self.alpha, self.mc_samples, self.theta, self.bridge_nodes,
-                       self.centering)
+        check_settings(self.alpha, self.mc_samples, self.theta, self.bridge_nodes)
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,7 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
             if config.clean and method == METHOD_BAYES:
                 report = clean(seq)
             arm_seq = seq if report is None else seq.subsequence(report.kept_indices)
-            stat = _detect_statistic(arm_seq, config.theta, method, config.centering)
+            stat = _detect_statistic(arm_seq, config.theta, method)
         except BayesCpdError as exc:
             stat = exc
         staged.append((method, report, stat))

@@ -173,9 +173,21 @@ class TestDetectCommand:
         assert main(["detect", "--help"]) == 0
         text = capsys.readouterr().out
         for fragment in ("--alpha", "--mc-samples", "--theta", "--seed",
-                         "--bridge-nodes", "--centering", "--method", "--threads",
+                         "--bridge-nodes", "--method", "--threads",
                          "(default: 0.05)", "(default: 2000)", "(default: 0.95)"):
             assert fragment in text
+
+    @pytest.mark.parametrize("command", ["detect", "experiment"])
+    def test_centering_flag_is_gone(self, sim_csv, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        argv = {
+            "detect": ["detect", str(sim_csv), "--mc-samples", "50"],
+            "experiment": ["experiment", "--generator", "model1", "--replicates", "1",
+                           "--out-dir", str(out_dir)],
+        }[command]
+        assert main(argv + ["--centering", "global"]) == 2
+        assert "--centering" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestSimulateCommand:
@@ -479,7 +491,7 @@ class TestExperimentCommand:
 class TestConfigFile:
     """The ``--config`` contract: values parse like flags, flags win."""
 
-    @pytest.mark.parametrize("text", ["alpha = x\n", "centering = sideways\n",
+    @pytest.mark.parametrize("text", ["alpha = x\n", "method = l1-raw\n",
                                       "clean = maybe\n", "mc_samples 100\n"],
                              ids=["non-numeric", "bad-choice", "bad-boolean", "no-equals"])
     def test_bad_config_exit_two(self, tmp_path, text):
@@ -489,6 +501,27 @@ class TestConfigFile:
         assert main(["detect", str(_small_break_csv(tmp_path)), "--config", str(cfg),
                      "--mc-samples", "50", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_centering_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("centering = global\n")
+        out = tmp_path / "r.json"
+        assert main(["detect", str(_small_break_csv(tmp_path)), "--config", str(cfg),
+                     "--mc-samples", "50", "--out", str(out)]) == 2
+        assert "unknown config key: 'centering'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = _small_break_csv(tmp_path)
+        results = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg = tmp_path / f"{encoding}.cfg"
+            cfg.write_text("mc_samples = 50\nseed = 4\n", encoding=encoding)
+            out = tmp_path / f"{encoding}.json"
+            assert main(["detect", str(path), "--config", str(cfg), "--out", str(out)]) in (0, 1)
+            results.append(out.read_bytes())
+        assert results[0] == results[1]
+        assert json.loads(results[0])["mc_samples"] == 50
 
     def test_boolean_yes_turns_on_l2_arm(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -171,30 +171,20 @@ class TestTestStatistic:
 
 class TestResiduals:
     def test_constant_global_all_zero(self, grid):
-        res = _residual_matrix(constant_sequence(grid, 6).clr_matrix(), "global", None)
+        res = _residual_matrix(constant_sequence(grid, 6).clr_matrix())
         assert np.abs(res).max() < 1e-12
 
     def test_global_residuals_sum_to_zero(self, grid):
         rng = np.random.default_rng(25)
         seq = random_sequence(grid, rng, 9)
-        total = _residual_matrix(seq.clr_matrix(), "global", None).sum(axis=0)
+        total = _residual_matrix(seq.clr_matrix()).sum(axis=0)
         assert np.abs(total).max() < 1e-10
-
-    def test_segmented_exact_on_two_segment_constant(self, grid):
-        seq = two_segment_sequence(grid, 5, 5)
-        res = _residual_matrix(seq.clr_matrix(), "segmented", 5)
-        assert np.abs(res).max() < 1e-12
-
-    def test_segmented_requires_interior_split(self, grid):
-        seq = two_segment_sequence(grid, 3, 3)
-        with pytest.raises(DegenerateInputError):
-            _residual_matrix(seq.clr_matrix(), "segmented", 6)
 
 
 class TestCovarianceEigen:
     def _random_residuals(self, grid, rng, n):
         seq = random_sequence(grid, rng, n)
-        return _residual_matrix(seq.clr_matrix(), "global", None)
+        return _residual_matrix(seq.clr_matrix())
 
     def _eigen(self, grid, res, theta=0.95):
         return _covariance_eigen_from_matrix(res, grid.weights, theta)
@@ -234,12 +224,11 @@ class TestCovarianceEigen:
 
     @pytest.mark.parametrize("theta", [0.95, 1.0])
     @pytest.mark.parametrize("method", ["bayes-clr", "l2-raw"])
-    @pytest.mark.parametrize("centering", ["global", "segmented"])
     @pytest.mark.parametrize("n", [8, 16, 40], ids=["n<m", "n=m", "n>m"])
-    def test_smaller_problem_matches_dense_eigh(self, n, centering, method, theta):
+    def test_smaller_problem_matches_dense_eigh(self, n, method, theta):
         grid = Grid(16)
         seq = random_sequence(grid, np.random.default_rng(1000 + n), n)
-        res = _residual_matrix(_method_matrix(seq, method), centering, n // 2)
+        res = _residual_matrix(_method_matrix(seq, method))
         eig = _covariance_eigen_from_matrix(res, grid.weights, theta)
         ref, ref_truncation = dense_covariance_eigen(res, grid.weights, theta)
         assert eig.eigenvalues.size == min(n, grid.node_count)
@@ -433,10 +422,11 @@ class TestDetect:
             assert 1 <= result.k_hat <= seq.n
             assert len(result.eigenvalues) == result.L
 
-    def test_segmented_centering_flagged(self, grid):
+    def test_centering_always_global(self, grid):
         seq = two_segment_sequence(grid, 10, 10)
-        result = detect(seq, mc_samples=100, seed=1, centering="segmented")
-        assert result.centering == "segmented"
+        assert detect(seq, mc_samples=100, seed=1).centering == "global"
+        with pytest.raises(TypeError):
+            detect(seq, mc_samples=100, centering="global")
 
 
 class TestPipelineFactoring:
@@ -466,7 +456,7 @@ class TestSettingsChecked:
 
     @pytest.mark.parametrize("name, value", [
         ("theta", 2.0), ("theta", 0.0), ("theta", -1.0), ("alpha", 1.5), ("alpha", 0.0),
-        ("mc_samples", 0), ("bridge_nodes", 3), ("centering", "bogus"), ("method", "bogus"),
+        ("mc_samples", 0), ("bridge_nodes", 3), ("method", "bogus"),
     ])
     @pytest.mark.parametrize("shape", ["regular", "identical-rows"])
     def test_bad_setting_rejected_on_every_input(self, name, value, shape):

@@ -314,10 +314,10 @@ class TestPairedArms:
     def test_failing_arm_recorded_and_other_arm_draws_alone(self, monkeypatch, failing):
         stage = simlab._detect_statistic
 
-        def fail_one(seq, theta, method, centering):
+        def fail_one(seq, theta, method):
             if method == failing:
                 raise DegenerateInputError("forced")
-            return stage(seq, theta, method, centering)
+            return stage(seq, theta, method)
 
         monkeypatch.setattr(simlab, "_detect_statistic", fail_one)
         config = ExperimentConfig(replicates=1, **self.CFG)
