@@ -180,6 +180,19 @@ class TestResiduals:
         total = _residual_matrix(seq.clr_matrix()).sum(axis=0)
         assert np.abs(total).max() < 1e-10
 
+    def test_rows_less_sequence_mean(self, grid):
+        mat = random_sequence(grid, np.random.default_rng(31), 7).clr_matrix()
+        before = mat.copy()
+        res = _residual_matrix(mat)
+        np.testing.assert_allclose(res, mat - mat.mean(axis=0), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(mat, before)
+
+    def test_common_row_offset_cancels(self, grid):
+        mat = random_sequence(grid, np.random.default_rng(32), 7).clr_matrix()
+        offset = np.linspace(-1.0, 1.0, mat.shape[1])
+        np.testing.assert_allclose(_residual_matrix(mat + offset), _residual_matrix(mat),
+                                   rtol=0.0, atol=1e-12)
+
 
 class TestCovarianceEigen:
     def _random_residuals(self, grid, rng, n):
@@ -224,10 +237,17 @@ class TestCovarianceEigen:
 
     @pytest.mark.parametrize("theta", [0.95, 1.0])
     @pytest.mark.parametrize("method", ["bayes-clr", "l2-raw"])
+    @pytest.mark.parametrize("shape", ["no-change", "mid-shift"])
     @pytest.mark.parametrize("n", [8, 16, 40], ids=["n<m", "n=m", "n>m"])
-    def test_smaller_problem_matches_dense_eigh(self, n, method, theta):
+    def test_smaller_problem_matches_dense_eigh(self, n, shape, method, theta):
         grid = Grid(16)
-        seq = random_sequence(grid, np.random.default_rng(1000 + n), n)
+        rng = np.random.default_rng(1000 + n)
+        seq = random_sequence(grid, rng, n)
+        if shape == "mid-shift":
+            # A mean change at n // 2: the residuals about the sequence mean carry it.
+            shift = zero_avoid(beta_density(grid, 6.0, 14.0))
+            seq = DistributionalSequence.from_densities(
+                f if i < n // 2 else b_add(f, shift) for i, f in enumerate(seq.densities))
         res = _residual_matrix(_method_matrix(seq, method))
         eig = _covariance_eigen_from_matrix(res, grid.weights, theta)
         ref, ref_truncation = dense_covariance_eigen(res, grid.weights, theta)
@@ -457,6 +477,7 @@ class TestSettingsChecked:
     @pytest.mark.parametrize("name, value", [
         ("theta", 2.0), ("theta", 0.0), ("theta", -1.0), ("alpha", 1.5), ("alpha", 0.0),
         ("mc_samples", 0), ("bridge_nodes", 3), ("method", "bogus"),
+        ("theta", float("nan")), ("alpha", float("nan")),
     ])
     @pytest.mark.parametrize("shape", ["regular", "identical-rows"])
     def test_bad_setting_rejected_on_every_input(self, name, value, shape):
