@@ -3,18 +3,20 @@
 
 Writes one JSON file of seven arms:
 
-- null size on the criterion-8 generator (i.i.d. Beta(U(10,15), U(10,15))
-  densities) at n = 100 and n = 300;
+- null size at n = 100 and n = 300: model1 with k* = n, a sequence with
+  no change whose densities are i.i.d. Beta(U(10,15), U(10,15)) as in
+  acceptance criterion 8, Bayes arm only;
 - sim1, Bayes against raw L2 (n = 100);
 - model1-3 with 20 outliers, cleaned, against raw L2 (n = 100);
 - a weak early break: model3, n = 40, k* = 6, 8 outliers, cleaned;
 - the limit law: the share of L = 1 limit samples at or above the squared
   Kolmogorov 0.95 point, whose target is 0.05.
 
-Per arm and method it records the rejection rate with its binomial
-standard error, the quartiles of |k_hat - k*|, the histogram of the
-retained eigenvalue count L, and the normals the Monte Carlo drew.  The
-file depends only on the seed and the code, so a rerun writes the same
+Every arm but the limit law is a ``run_experiment`` call.  Per arm and
+method it records the rejection rate with its binomial standard error,
+the quartiles of |k_hat - k*| (null on a no-change arm), the histogram of
+the retained eigenvalue count L, and the normals the Monte Carlo drew.
+The file depends only on the seed and the code, so a rerun writes the same
 bytes at any thread count.
 
     python scripts/study.py --out STATS.json [--smoke] [--seed S] [--threads T]
@@ -39,16 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bayes_cpd import (
-    DistributionalSequence,
-    ExperimentConfig,
-    Grid,
-    beta_density,
-    detect,
-    run_experiment,
-    simulate_limit_samples,
-    zero_avoid,
-)
+from bayes_cpd import ExperimentConfig, run_experiment, simulate_limit_samples
 from bayes_cpd.engine import DEFAULT_BRIDGE_NODES, DEFAULT_MC_SAMPLES, METHOD_BAYES, METHOD_L2
 from bayes_cpd.seeds import derive_seed
 
@@ -60,8 +53,9 @@ QUARTILE_STEP = 1.0
 LIMIT_TARGET = 0.05
 LIMIT_Z = 3.0
 
-NULL_ARMS = (("null_n100", 100), ("null_n300", 300))
 EXPERIMENT_ARMS = (
+    ("null_n100", dict(generator="model1", n=100, k_star=100, compare_l2=False)),
+    ("null_n300", dict(generator="model1", n=300, k_star=300, compare_l2=False)),
     ("sim1", dict(generator="sim1", n=100, k_star=50)),
     ("model1_clean", dict(generator="model1", n=100, k_star=50, contamination_count=20,
                           clean=True)),
@@ -74,7 +68,7 @@ EXPERIMENT_ARMS = (
 )
 #: Replicates (or limit samples) per arm at full and smoke size.
 SIZES = {
-    "full": {"null_n100": 400, "null_n300": 200, "sim1": 100, "model1_clean": 100,
+    "full": {"null_n100": 4000, "null_n300": 4000, "sim1": 100, "model1_clean": 100,
              "model2_clean": 100, "model3_clean": 100, "weak_break": 200,
              "limit_law": 40_000},
     "smoke": {"null_n100": 40, "null_n300": 20, "sim1": 10, "model1_clean": 10,
@@ -82,7 +76,6 @@ SIZES = {
               "limit_law": 4_000},
 }
 ARM_NAMES = tuple(SIZES["full"])
-GRID_NODES = 512
 
 
 def kolmogorov_quantile(p: float) -> float:
@@ -117,39 +110,21 @@ def method_entry(rejected: list[bool], abs_errors: list[int] | None, ells: list,
     }
 
 
-def null_arm(n: int, reps: int, seed: int, threads: int) -> dict:
-    """Rejections on i.i.d. densities with no break."""
-    grid = Grid(GRID_NODES)
-    rejected, ells, normals = [], [], 0
-    for r in range(reps):
-        rng = np.random.default_rng(derive_seed(seed, r))
-        densities = [zero_avoid(beta_density(grid, rng.uniform(10, 15), rng.uniform(10, 15)))
-                     for _ in range(n)]
-        result = detect(DistributionalSequence.from_densities(densities),
-                        seed=derive_seed(derive_seed(seed, r), 1), threads=threads)
-        rejected.append(result.reject_null)
-        ells.append(result.L)
-        normals += DEFAULT_MC_SAMPLES * result.L * (DEFAULT_BRIDGE_NODES - 1)
-    return {"replicates": reps, "normals_drawn": normals,
-            "methods": {METHOD_BAYES: method_entry(rejected, None, ells, 0)}}
-
-
 def experiment_arm(overrides: dict, reps: int, seed: int, threads: int) -> dict:
-    """Both arms of a paired Bayes-against-raw-L2 experiment."""
-    config = ExperimentConfig(replicates=reps, seed=seed, threads=threads, compare_l2=True,
-                              **overrides)
+    """Each arm of one experiment, Bayes against raw L2 unless ``compare_l2`` is off."""
+    config = ExperimentConfig(replicates=reps, seed=seed, threads=threads,
+                              **{"compare_l2": True, **overrides})
     report = run_experiment(config)
     methods, shared = {}, [0] * reps
-    for method in (METHOD_BAYES, METHOD_L2):
+    for method in (METHOD_BAYES, METHOD_L2) if config.compare_l2 else (METHOD_BAYES,):
         records = {rec.replicate: rec for rec in report.records_for(method)}
-        errored = sum(1 for rec in report.records
-                      if rec.error is not None and rec.error.startswith(f"{method}: "))
         ells = [records[r].L if r in records else "error" for r in range(reps)]
         for r, rec in records.items():
             shared[r] = max(shared[r], rec.L)
         rows = [records[r] for r in sorted(records)]
-        methods[method] = method_entry([rec.rejected for rec in rows],
-                                       [rec.abs_error for rec in rows], ells, errored)
+        abs_errors = None if config.k_star == config.n else [rec.abs_error for rec in rows]
+        methods[method] = method_entry([rec.rejected for rec in rows], abs_errors, ells,
+                                       reps - len(rows))
     normals = sum(config.mc_samples * ell * (config.bridge_nodes - 1) for ell in shared)
     return {"replicates": reps, "normals_drawn": normals, "methods": methods}
 
@@ -171,14 +146,13 @@ def run_study(size: str, seed: int, threads: int) -> dict:
         start = time.perf_counter()
         if name == "limit_law":
             arms[name] = limit_arm(sizes[name], arm_seed, threads)
-        elif name in dict(NULL_ARMS):
-            arms[name] = null_arm(dict(NULL_ARMS)[name], sizes[name], arm_seed, threads)
         else:
             arms[name] = experiment_arm(dict(EXPERIMENT_ARMS)[name], sizes[name], arm_seed,
                                         threads)
         print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return {"size": size, "seed": seed, "bridge_nodes": DEFAULT_BRIDGE_NODES,
-            "mc_samples": DEFAULT_MC_SAMPLES, "grid_nodes": GRID_NODES, "arms": arms}
+            "mc_samples": DEFAULT_MC_SAMPLES, "grid_nodes": ExperimentConfig.grid_nodes,
+            "arms": arms}
 
 
 def _fmt(rate, se) -> str:

@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("simulate", _cmd_simulate, "generate a synthetic density CSV")
     p.add_argument("--generator", choices=GENERATORS, help="data-generating model")
     p.add_argument("--n", type=int, default=100, help="sequence length")
-    p.add_argument("--kstar", type=int, default=50, help="true change-point")
+    p.add_argument("--kstar", type=int, default=50,
+                   help="true change-point, 1..n (n: no change)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--grid-nodes", type=int, default=DEFAULT_NODE_COUNT, help="density grid nodes")
     p.add_argument("--contaminate", type=int, default=0,
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", choices=GENERATORS, help="data-generating model")
     p.add_argument("--n", type=int, default=ExperimentConfig.n, help="sequence length")
     p.add_argument("--k-star", type=int, default=ExperimentConfig.k_star,
-                   help="true change-point")
+                   help="true change-point, 1..n (n: no change, so the rate is the size)")
     p.add_argument("--replicates", type=int, default=ExperimentConfig.replicates,
                    help="number of replicates")
     p.add_argument("--contamination-count", type=int,

@@ -353,15 +353,16 @@ def write_profile_csv(path, profile: CusumProfile) -> None:
 
 
 def write_replicates_csv(path, report: ExperimentReport) -> None:
+    """One row per record, error records included; their ``p_value`` cell is empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["replicate", "k_hat", "abs_error", "p_value", "rejected", "method"])
+        writer.writerow(["replicate", "k_hat", "abs_error", "p_value", "rejected", "method",
+                         "L", "error"])
         for rec in report.records:
-            if rec.error is not None:
-                continue
             writer.writerow([
                 rec.replicate, rec.k_hat, rec.abs_error,
-                _fmt(rec.p_value), str(rec.rejected).lower(), rec.method,
+                "" if math.isnan(rec.p_value) else _fmt(rec.p_value),
+                str(rec.rejected).lower(), rec.method, rec.L, rec.error or "",
             ])
 
 
@@ -373,19 +374,19 @@ def write_boxplot_csv(path, report: ExperimentReport) -> None:
             "method", "median", "q1", "q3", "whisker_lo", "whisker_hi",
             "n_fliers", "fliers",
         ])
-        for method in sorted(report.summaries):
+        for method, summary in sorted(report.summaries.items()):
             errs = np.array(
                 [r.abs_error for r in report.records_for(method)], dtype=np.float64
             )
             if errs.size == 0:
                 continue
-            q1, med, q3 = np.percentile(errs, [25, 50, 75])
             fence_lo, fence_hi = tukey_fences(errs, DEFAULT_WHISKER)
             inside = errs[(errs >= fence_lo) & (errs <= fence_hi)]
             lo, hi = float(inside.min()), float(inside.max())
             fliers = sorted(float(e) for e in errs[(errs < lo) | (errs > hi)])
             writer.writerow([
-                method, _fmt(med), _fmt(q1), _fmt(q3), _fmt(lo), _fmt(hi),
+                method, _fmt(summary.median_abs_error), _fmt(summary.q1_abs_error),
+                _fmt(summary.q3_abs_error), _fmt(lo), _fmt(hi),
                 len(fliers), ";".join(_fmt(f) for f in fliers),
             ])
 

@@ -7,6 +7,10 @@ break (``model1``), the mean-aligned Beta break (``model2``), and the mild
 concentration shift (``model3``).  ``run_experiment`` repeats
 generate/contaminate/clean/detect cycles with per-replicate derived seeds
 and aggregates localization errors and rejection rates.
+
+A break at ``k_star = n`` leaves the post-break block empty: every density
+comes from the pre-break law, so the sequence has no change and an
+experiment's rejection rate estimates the size of the test.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ MODEL2_MEAN = 0.45
 
 
 def _validate_break(n: int, k_star: int) -> None:
-    if not (n >= 4 and 1 <= k_star < n):
-        raise StructuralError(f"need n >= 4 and 1 <= k_star < n, got k_star={k_star}, n={n}")
+    if not (n >= 4 and 1 <= k_star <= n):
+        raise StructuralError(f"need n >= 4 and 1 <= k_star <= n, got k_star={k_star}, n={n}")
 
 
 def _beta_rows(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,7 +215,11 @@ def replicate_sequence(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for one repeated-detection experiment."""
+    """Settings for one repeated-detection experiment.
+
+    ``k_star`` ranges over 1..n; ``k_star = n`` runs a no-change sequence,
+    so the rejection rate is the size and ``abs_error`` is ``n - k_hat``.
+    """
 
     generator: str
     n: int = 100

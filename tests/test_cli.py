@@ -1,5 +1,6 @@
 """Command-line round trips, exit codes, schemas, and byte determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -457,6 +458,10 @@ class TestExperimentCommand:
         payload = json.loads((out_dir / "report.json").read_text())
         validate(payload, "experiment_report")
         assert payload["summaries"]["error"]["count"] == 3
+        with open(out_dir / "replicates.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["method"], row["error"], row["p_value"], row["L"]) for row in rows] == [
+            ("error", "DegenerateInputError: nothing to detect", "", "0")] * 3
 
     def test_errored_replicates_counted_once_when_both_arms_raise(self, tmp_path, capsys,
                                                                    monkeypatch):

@@ -1,5 +1,6 @@
 """Serialization edge cases."""
 
+import csv
 import dataclasses
 import datetime as dt
 import io
@@ -141,6 +142,21 @@ def test_boxplot_csv_whiskers_and_fliers_follow_the_tukey_fences(tmp_path):
         "few,9.0,7.0,24.5,5.0,40.0,0,",
         "many,11.0,10.0,12.0,10.0,12.0,3,0.0;16.0;30.0",
     ]
+
+
+def test_boxplot_csv_quartiles_are_the_summaries(tmp_path):
+    report = run_experiment(ExperimentConfig(generator="model3", n=40, k_star=20,
+                                             replicates=5, compare_l2=True, mc_samples=100,
+                                             grid_nodes=64, seed=12))
+    path = tmp_path / "boxplot.csv"
+    write_boxplot_csv(path, report)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = {row["method"]: row for row in csv.DictReader(fh)}
+    assert sorted(rows) == ["bayes-clr", "l2-raw"]
+    for method, row in rows.items():
+        summary = report.summaries[method]
+        assert [float(row[k]) for k in ("median", "q1", "q3")] == [
+            summary.median_abs_error, summary.q1_abs_error, summary.q3_abs_error]
 
 
 def test_density_csv_round_trip_is_exact(tmp_path):

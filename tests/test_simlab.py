@@ -10,6 +10,7 @@ from bayes_cpd import (
     ExperimentConfig,
     Grid,
     b_dist,
+    beta_density,
     clean_and_detect,
     contaminate,
     detect,
@@ -20,6 +21,7 @@ from bayes_cpd import (
     gen_outliers,
     gen_sim1,
     run_experiment,
+    zero_avoid,
 )
 from bayes_cpd import simlab
 from bayes_cpd.engine import p_value, simulate_limit_samples
@@ -57,8 +59,24 @@ class TestGenerators:
 
     @pytest.mark.parametrize("gen", GEN_FNS)
     def test_invalid_break_position(self, gen, grid):
-        with pytest.raises(StructuralError):
-            gen(10, 10, seed=1, grid=grid)
+        for k_star in (0, 11):
+            with pytest.raises(StructuralError):
+                gen(10, k_star, seed=1, grid=grid)
+
+    @pytest.mark.parametrize("gen", GEN_FNS)
+    def test_break_at_n_gives_a_no_change_sequence(self, gen, grid):
+        seq = gen(10, 10, seed=1, grid=grid)
+        assert seq.n == 10
+        for f in seq.densities:
+            assert f.min_value() >= 0.1
+            assert float(grid.weights @ f.values) == pytest.approx(1.0, abs=1e-6)
+
+    def test_model1_without_break_is_the_criterion_8_law(self, grid):
+        rng = np.random.default_rng(17)
+        expected = [zero_avoid(beta_density(grid, rng.uniform(10, 15), rng.uniform(10, 15)))
+                    for _ in range(30)]
+        seq = gen_model1(30, 30, seed=17, grid=grid)
+        np.testing.assert_array_equal(seq.values, np.vstack([f.values for f in expected]))
 
 
 class TestSim1:
@@ -218,6 +236,15 @@ class TestRunExperiment:
             assert rec.abs_error == abs(rec.k_hat - report.config.k_star)
         assert report.summaries == summarize_records(report.records)
 
+    def test_break_at_n_runs_without_a_change(self):
+        report = run_experiment(ExperimentConfig(
+            generator="model1", n=30, k_star=30, replicates=3, mc_samples=200,
+            grid_nodes=128, seed=4))
+        assert [rec.method for rec in report.records] == ["bayes-clr"] * 3
+        for rec in report.records:
+            assert 1 <= rec.k_hat < 30
+            assert rec.abs_error == 30 - rec.k_hat
+
     def test_cleaning_records_removed_indices(self):
         report = run_experiment(ExperimentConfig(
             generator="model3", n=40, k_star=20, replicates=1, mc_samples=200,
@@ -240,7 +267,7 @@ class TestRunExperiment:
             ExperimentConfig(generator="nope")
 
     @pytest.mark.parametrize("bad", [{"alpha": 1.5}, {"theta": 2.0}, {"mc_samples": 0},
-                                     {"n": 3, "k_star": 1}])
+                                     {"n": 3, "k_star": 1}, {"k_star": 101}])
     def test_invalid_settings_rejected_before_any_replicate(self, bad):
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="model1", **bad)
