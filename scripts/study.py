@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Fixed-seed statistical record of the detector, and its comparator.
 
-Writes one JSON file of seven arms:
+Writes one JSON file of nine arms:
 
-- null size at n = 100 and n = 300: model1 with k* = n, a sequence with
+- null size at n = 40, 100 and 300: model1 with k* = n, a sequence with
   no change whose densities are i.i.d. Beta(U(10,15), U(10,15)) as in
   acceptance criterion 8, Bayes arm only;
 - sim1, Bayes against raw L2 (n = 100);
@@ -24,9 +24,10 @@ bytes at any thread count.
 
 ``--compare`` exits 1 when a data arm's rejection rate moves by more than
 RATE_Z pooled standard errors or one of its quartiles by more than
-QUARTILE_STEP indices, or when the new limit-law share lies more than
-LIMIT_Z standard errors from its target; the old limit-law share is shown
-but not judged.
+QUARTILE_STEP indices, when the new limit-law share lies more than
+LIMIT_Z standard errors from its target, or when NEW lacks an arm; the
+old limit-law share is shown but not judged, and an arm that only NEW
+has is shown as new and not judged.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ LIMIT_TARGET = 0.05
 LIMIT_Z = 3.0
 
 EXPERIMENT_ARMS = (
+    ("null_n40", dict(generator="model1", n=40, k_star=40, compare_l2=False)),
     ("null_n100", dict(generator="model1", n=100, k_star=100, compare_l2=False)),
     ("null_n300", dict(generator="model1", n=300, k_star=300, compare_l2=False)),
     ("sim1", dict(generator="sim1", n=100, k_star=50)),
@@ -66,14 +68,15 @@ EXPERIMENT_ARMS = (
     ("weak_break", dict(generator="model3", n=40, k_star=6, contamination_count=8,
                         clean=True)),
 )
-#: Replicates (or limit samples) per arm at full and smoke size.
+#: Replicates (or limit samples) per arm at full and smoke size.  An arm's
+#: seed is derived from its position here, so a new arm goes last.
 SIZES = {
     "full": {"null_n100": 4000, "null_n300": 4000, "sim1": 100, "model1_clean": 100,
              "model2_clean": 100, "model3_clean": 100, "weak_break": 200,
-             "limit_law": 40_000},
+             "limit_law": 40_000, "null_n40": 4000},
     "smoke": {"null_n100": 40, "null_n300": 20, "sim1": 10, "model1_clean": 10,
               "model2_clean": 10, "model3_clean": 10, "weak_break": 20,
-              "limit_law": 4_000},
+              "limit_law": 4_000, "null_n40": 40},
 }
 ARM_NAMES = tuple(SIZES["full"])
 
@@ -165,10 +168,15 @@ def compare(old: dict, new: dict) -> list[str]:
     print(f"{'arm':14s} {'method':10s} {'old rate (SE)':>15s} {'new rate (SE)':>15s} "
           f"{'z':>6s}  |k_hat - k*| quartiles old -> new")
     for name in ARM_NAMES:
-        if name not in old["arms"] or name not in new["arms"]:
+        if name not in new["arms"]:
             problems.append(f"{name}: arm missing")
             continue
-        a, b = old["arms"][name], new["arms"][name]
+        b = new["arms"][name]
+        if name not in old["arms"]:
+            for method, mb in b["methods"].items():
+                print(f"{name:14s} {method:10s} {'new':>15s} {_fmt(mb['rate'], mb['se']):>15s}")
+            continue
+        a = old["arms"][name]
         if name == "limit_law":
             z = (b["share"] - b["target"]) / b["se"]
             print(f"{name:14s} {'L = 1':10s} {a['share']:15.4f} {b['share']:15.4f} {z:6.2f}  "

@@ -30,7 +30,7 @@ EIGENVALUE_CLIP_RATIO = 1e-12
 DEFAULT_ALPHA = 0.05
 DEFAULT_MC_SAMPLES = 2000
 DEFAULT_THETA = 0.95
-DEFAULT_BRIDGE_NODES = 101
+DEFAULT_BRIDGE_NODES = 64
 #: beta = -zeta(1/2) / sqrt(2 pi): a continuous path's supremum lies about beta
 #: local standard deviations times sqrt(dt) above its largest value on a grid
 #: of step dt.
@@ -358,7 +358,7 @@ def simulate_limit_samples(
     with beta = -zeta(1/2) / sqrt(2 pi) (:data:`BRIDGE_SHIFT`) and sigma^2 =
     sum_l lambda_l^2 B_l^2 / sum_l lambda_l B_l^2 the local variance of
     sqrt(S) at the maximizing node (Broadie, Glasserman & Kou, Math.
-    Finance 7, 1997; Finance Stoch. 3, 1999); the default 101 nodes then
+    Finance 7, 1997; Finance Stoch. 3, 1999); the default 64 nodes then
     hit the continuous law's tail.  The result scales exactly linearly in
     the eigenvalues, and an all-zero vector gives zero samples.
 

@@ -287,11 +287,22 @@ class TestLimitSimulation:
         assert emp == pytest.approx(kolmogorov_quantile(0.95), rel=0.025)
 
     def test_corrected_single_bridge_tail_share_at_default_nodes(self):
-        # the continuity shift puts the 101-node sup on the continuous law
+        # the continuity shift puts the default grid's sup on the continuous law
         samples = simulate_limit_samples([1.0], 40_000, seed=5, threads=2)
         share = float(np.mean(samples >= kolmogorov_quantile(0.95) ** 2))
         se = np.sqrt(0.05 * 0.95 / samples.size)
         assert abs(share - 0.05) <= 3.0 * se, share
+
+    def test_corrected_three_bridge_tail_share_at_default_nodes(self):
+        # no closed form at L > 1: a 1001-node draw on its own seed is the reference
+        eigen, count = [0.6, 0.3, 0.1], 20_000
+        reference = simulate_limit_samples(eigen, count, bridge_nodes=1001, seed=11, threads=2)
+        samples = simulate_limit_samples(eigen, count, seed=12, threads=2)
+        point = np.quantile(reference, 0.95)
+        shares = [float(np.mean(s >= point)) for s in (samples, reference)]
+        pooled = sum(shares) / 2
+        se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / count)
+        assert abs(shares[0] - shares[1]) <= 4.0 * se, shares
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eigen", [[0.0], [0.0, 0.0], [1.0, 0.0], [0.6, 0.3, 0.0, 0.0]])

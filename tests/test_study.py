@@ -41,3 +41,30 @@ def test_single_arm_errors_counted(monkeypatch):
     assert (entry["count"], entry["errored"]) == (2, 1)
     assert entry["L_histogram"]["error"] == 1
     assert entry["abs_error_quartiles"] is not None
+
+
+def _stats(names):
+    """A study file whose data arms all read 1 rejection in 10."""
+    entry = {"count": 10, "errored": 0, "rejections": 1, "rate": 0.1, "se": 0.095,
+             "abs_error_quartiles": None, "L_histogram": {"1": 10}}
+    arms = {name: {"replicates": 10, "normals_drawn": 0,
+                   "methods": {"bayes-clr": entry}}
+            for name in names if name != "limit_law"}
+    arms["limit_law"] = {"samples": 4000, "point": 1.8, "share": 0.05, "target": 0.05,
+                         "se": 0.0034, "normals_drawn": 0}
+    return {"arms": arms}
+
+
+def test_arm_only_in_new_is_shown_and_not_judged(capsys):
+    old = _stats([name for name in study.ARM_NAMES if name != "null_n40"])
+    new = _stats(study.ARM_NAMES)
+    assert study.compare(old, new) == []
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("null_n40")]
+    assert row.split()[1:3] == ["bayes-clr", "new"]
+
+
+def test_arm_missing_from_new_fails():
+    old = _stats(study.ARM_NAMES)
+    new = _stats([name for name in study.ARM_NAMES if name != "null_n40"])
+    assert study.compare(old, new) == ["null_n40: arm missing"]
