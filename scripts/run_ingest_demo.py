@@ -45,7 +45,7 @@ def write_raw_csv(path: Path, days) -> None:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "value"])
         for t, v in days:
-            writer.writerows(zip(map(repr, t.tolist()), map(repr, v.tolist())))
+            writer.writerows(zip(t.tolist(), v.tolist()))  # csv writes a float as its repr
 
 
 def main() -> int:

@@ -193,7 +193,6 @@ def _cusum_matrix(mat: np.ndarray) -> np.ndarray:
 def _profile_from_matrix(mat: np.ndarray, weights: np.ndarray) -> CusumProfile:
     cusum = _cusum_matrix(mat)
     norms_sq = (cusum * cusum) @ weights
-    np.maximum(norms_sq, 0.0, out=norms_sq)
     statistic = float(norms_sq.max())
     argmax_k = int(np.argmax(norms_sq)) + 1  # smallest maximizer: argmax is first
     degenerate = statistic <= DEGENERATE_STATISTIC_TOL

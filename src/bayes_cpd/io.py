@@ -1,7 +1,11 @@
 """File formats: density CSV, raw-series CSV, and the JSON report shapes.
 
-Float cells are written with ``repr``, the shortest round-tripping form,
-so identical results serialize to identical bytes.
+Every CSV is written by ``_write_csv`` from rows of plain values: ``csv``
+writes a float as its shortest round-tripping ``repr`` and None as an
+empty cell.  The JSON reports and ``replicates.csv`` take a record's
+fields from ``_fields``, the only place a NaN becomes None: ``null`` in
+JSON, an empty cell in CSV.  So identical results serialize to identical
+bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import re
 from array import array
 from pathlib import Path
@@ -37,8 +42,12 @@ _LINE_ENDS = re.compile(rb"[\r\n]*")
 TIMESTAMP_FORMATS = ("iso", "epoch")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path, header, rows) -> None:
+    """Write the CSV file ``path``: the row ``header``, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +56,7 @@ def _fmt(x: float) -> str:
 
 def write_density_csv(path, grid: Grid, values: np.ndarray) -> None:
     """Write the grid row, then one row per row of the (n, m) ``values``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_fmt(x) for x in grid.nodes)
-        for row in values:
-            writer.writerow(_fmt(v) for v in row)
+    _write_csv(path, grid.nodes.tolist(), (row.tolist() for row in values))
 
 
 def _parse_float_row(row: list[str], line: int) -> np.ndarray:
@@ -305,14 +310,25 @@ def _read_raw_rows(path, timestamp_format: str) -> RawSeries:
         line, header = next(rows, (1, []))
         if not _is_raw_header(header):
             raise CsvFormatError(line, 'expected header "timestamp,value"')
-        for line, row in rows:
-            if len(row) != 2:
-                raise CsvFormatError(line, f"expected 2 cells, got {len(row)}")
-            timestamps.append(_parse_timestamp(row[0], timestamp_format, line))
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise CsvFormatError(line, f"non-numeric value {row[1]!r}") from None
+        try:
+            for line, row in rows:
+                if len(row) != 2:
+                    raise CsvFormatError(line, f"expected 2 cells, got {len(row)}")
+                timestamp = _parse_timestamp(row[0], timestamp_format, line)
+                try:
+                    values.append(float(row[1]))
+                except ValueError:
+                    raise CsvFormatError(line, f"non-numeric value {row[1]!r}") from None
+                timestamps.append(timestamp)  # once both cells parse: the columns stay equal
+        except CsvFormatError:
+            if timestamps:
+                _checked_series(path, timestamps, values)  # an earlier invalid sample comes first
+            raise
+    return _checked_series(path, timestamps, values)
+
+
+def _checked_series(path, timestamps: array, values: array) -> RawSeries:
+    """Validated series; a bad sample raises with its file line."""
     try:
         return RawSeries(np.frombuffer(timestamps), np.frombuffer(values))
     except StructuralError as exc:
@@ -333,11 +349,8 @@ def _record_line(path, record: int) -> int:
 
 
 def write_raw_series_csv(path, series: RawSeries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "value"])
-        for t, v in zip(series.timestamps, series.values):
-            writer.writerow([_fmt(t), _fmt(v)])
+    _write_csv(path, ("timestamp", "value"),
+               zip(map(float, series.timestamps), map(float, series.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,50 +358,35 @@ def write_raw_series_csv(path, series: RawSeries) -> None:
 # ---------------------------------------------------------------------------
 
 def write_profile_csv(path, profile: CusumProfile) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "norm_sq"])
-        for k, value in enumerate(profile.norms_sq, start=1):
-            writer.writerow([k, _fmt(value)])
+    _write_csv(path, ("k", "norm_sq"), enumerate(map(float, profile.norms_sq), start=1))
 
 
 def write_replicates_csv(path, report: ExperimentReport) -> None:
-    """One row per record, error records included; their ``p_value`` cell is empty."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "k_hat", "abs_error", "p_value", "rejected", "method",
-                         "L", "error"])
-        for rec in report.records:
-            writer.writerow([
-                rec.replicate, rec.k_hat, rec.abs_error,
-                "" if math.isnan(rec.p_value) else _fmt(rec.p_value),
-                str(rec.rejected).lower(), rec.method, rec.L, rec.error or "",
-            ])
+    """One row per record, error records included; a field ``report.json``
+    writes as null, such as an error record's ``p_value``, is an empty cell."""
+    columns = ("replicate", "k_hat", "abs_error", "p_value", "rejected", "method", "L", "error")
+    cells = operator.itemgetter(*columns)
+    _write_csv(path, columns, (
+        cells({**_fields(rec), "rejected": "true" if rec.rejected else "false"})
+        for rec in report.records
+    ))
 
 
 def write_boxplot_csv(path, report: ExperimentReport) -> None:
     """Quartiles, whisker ends, and fliers of abs_error per method."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "method", "median", "q1", "q3", "whisker_lo", "whisker_hi",
-            "n_fliers", "fliers",
-        ])
-        for method, summary in sorted(report.summaries.items()):
-            errs = np.array(
-                [r.abs_error for r in report.records_for(method)], dtype=np.float64
-            )
-            if errs.size == 0:
-                continue
-            fence_lo, fence_hi = tukey_fences(errs, DEFAULT_WHISKER)
-            inside = errs[(errs >= fence_lo) & (errs <= fence_hi)]
-            lo, hi = float(inside.min()), float(inside.max())
-            fliers = sorted(float(e) for e in errs[(errs < lo) | (errs > hi)])
-            writer.writerow([
-                method, _fmt(summary.median_abs_error), _fmt(summary.q1_abs_error),
-                _fmt(summary.q3_abs_error), _fmt(lo), _fmt(hi),
-                len(fliers), ";".join(_fmt(f) for f in fliers),
-            ])
+    rows = []
+    for method, summary in sorted(report.summaries.items()):
+        errs = np.array([r.abs_error for r in report.records_for(method)], dtype=np.float64)
+        if errs.size == 0:
+            continue
+        fence_lo, fence_hi = tukey_fences(errs, DEFAULT_WHISKER)
+        inside = errs[(errs >= fence_lo) & (errs <= fence_hi)]
+        lo, hi = float(inside.min()), float(inside.max())
+        fliers = sorted(errs[(errs < lo) | (errs > hi)].tolist())
+        rows.append((method, summary.median_abs_error, summary.q1_abs_error,
+                     summary.q3_abs_error, lo, hi, len(fliers), ";".join(map(repr, fliers))))
+    _write_csv(path, ("method", "median", "q1", "q3", "whisker_lo", "whisker_hi", "n_fliers",
+                      "fliers"), rows)
 
 
 def write_experiment_outputs(out_dir, report: ExperimentReport) -> None:
@@ -407,8 +405,8 @@ def write_experiment_outputs(out_dir, report: ExperimentReport) -> None:
 def _fields(record, *drop: str) -> dict:
     """The dataclass fields of ``record`` in declaration order, less ``drop``.
 
-    A float NaN is written as ``None`` (JSON null); the caller replaces
-    any value that is itself a record.
+    A float NaN is written as ``None`` (JSON null, an empty CSV cell); the
+    caller replaces any value that is itself a record.
     """
     out = {}
     for f in dataclasses.fields(record):

@@ -37,7 +37,11 @@ from bayes_cpd.io import (
     read_raw_series_csv,
     write_boxplot_csv,
     write_density_csv,
+    write_profile_csv,
+    write_raw_series_csv,
+    write_replicates_csv,
 )
+from bayes_cpd.engine import CusumProfile
 from bayes_cpd.simlab import ExperimentReport, ReplicateRecord, summarize_records
 from bayes_cpd.errors import CsvFormatError, DegenerateInputError
 
@@ -157,6 +161,63 @@ def test_boxplot_csv_quartiles_are_the_summaries(tmp_path):
         summary = report.summaries[method]
         assert [float(row[k]) for k in ("median", "q1", "q3")] == [
             summary.median_abs_error, summary.q1_abs_error, summary.q3_abs_error]
+
+
+def test_every_csv_writer_writes_its_golden_bytes(tmp_path):
+    # floats as their shortest repr, NaN p_value and absent error as empty
+    # cells, booleans as true/false, csv quoting, CR LF line ends
+    values = np.array([[0.1, 1 / 3, 1e-300, 5e-324, 1e16, 123456789.12345679] + [1.0] * 10,
+                       [2.5] * 16])
+    records = tuple(
+        ReplicateRecord(replicate=r, method="bayes-clr", k_hat=50 + e, abs_error=e,
+                        p_value=p, rejected=p < 0.05, L=2)
+        for r, (e, p) in enumerate([(0, 0.0), (3, 0.01), (3, 1 / 3), (3, 0.5), (4, 0.04),
+                                    (25, 1.0)])
+    ) + (ReplicateRecord(replicate=6, method="error",
+                         error='DegenerateInputError: a "quoted", text'),)
+    report = ExperimentReport(config=ExperimentConfig(generator="model1"), records=records,
+                              summaries=summarize_records(records))
+    writers = {
+        "density": lambda path: write_density_csv(path, Grid(16), values),
+        "raw": lambda path: write_raw_series_csv(
+            path, RawSeries(np.array([1700000000.0, 1700000000.5]), np.array([2.0, 0.1]))),
+        "profile": lambda path: write_profile_csv(
+            path, CusumProfile(norms_sq=np.array([0.25, 1 / 3, 0.0]), argmax_k=2,
+                               degenerate=False)),
+        "replicates": lambda path: write_replicates_csv(path, report),
+        "boxplot": lambda path: write_boxplot_csv(path, report),
+    }
+    expected = {
+        "density": (
+            b"0.0,0.06666666666666667,0.13333333333333333,0.2,0.26666666666666666,"
+            b"0.3333333333333333,0.4,0.4666666666666667,0.5333333333333333,0.6,"
+            b"0.6666666666666666,0.7333333333333333,0.8,0.8666666666666667,"
+            b"0.9333333333333333,1.0\r\n"
+            b"0.1,0.3333333333333333,1e-300,5e-324,1e+16,123456789.12345679,"
+            b"1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0\r\n"
+            b"2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5,2.5\r\n"
+        ),
+        "raw": b"timestamp,value\r\n1700000000.0,2.0\r\n1700000000.5,0.1\r\n",
+        "profile": b"k,norm_sq\r\n1,0.25\r\n2,0.3333333333333333\r\n3,0.0\r\n",
+        "replicates": (
+            b"replicate,k_hat,abs_error,p_value,rejected,method,L,error\r\n"
+            b"0,50,0,0.0,true,bayes-clr,2,\r\n"
+            b"1,53,3,0.01,true,bayes-clr,2,\r\n"
+            b"2,53,3,0.3333333333333333,false,bayes-clr,2,\r\n"
+            b"3,53,3,0.5,false,bayes-clr,2,\r\n"
+            b"4,54,4,0.04,true,bayes-clr,2,\r\n"
+            b"5,75,25,1.0,false,bayes-clr,2,\r\n"
+            b'6,0,0,,false,error,0,"DegenerateInputError: a ""quoted"", text"\r\n'
+        ),
+        "boxplot": (
+            b"method,median,q1,q3,whisker_lo,whisker_hi,n_fliers,fliers\r\n"
+            b"bayes-clr,3.0,3.0,3.75,3.0,4.0,2,0.0;25.0\r\n"
+        ),
+    }
+    for name, write in writers.items():
+        path = tmp_path / f"{name}.csv"
+        write(path)
+        assert path.read_bytes() == expected[name], name
 
 
 def test_density_csv_round_trip_is_exact(tmp_path):
@@ -322,6 +383,24 @@ def test_bad_raw_sample_carries_its_line_number(tmp_path, body, line):
     with pytest.raises(CsvFormatError, match=f"line {line}:") as info:
         read_raw_series_csv(path, "epoch")
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("timestamp_format", ["epoch", "iso"])
+@pytest.mark.parametrize("samples, problem", [
+    ([(1, "1.0"), (2, "nan")], "non-finite timestamp or value"),
+    ([(2, "1.0"), (1, "1.0")], "timestamps must be non-decreasing"),
+], ids=["nan-value", "backwards-timestamp"])
+def test_invalid_raw_sample_is_reported_before_a_later_parse_error(tmp_path, timestamp_format,
+                                                                     samples, problem):
+    epoch = dt.datetime(2024, 3, 1)
+    stamp = (str if timestamp_format == "epoch"
+             else lambda t: (epoch + dt.timedelta(seconds=t)).isoformat())
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp,value\n"
+                    + "".join(f"{stamp(t)},{v}\n" for t, v in [*samples, (3, "x")]))
+    with pytest.raises(CsvFormatError) as info:
+        read_raw_series_csv(path, timestamp_format)
+    assert str(info.value) == f"line 3: {problem}"
 
 
 def test_empty_raw_series_reported_after_header(tmp_path):
