@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fixed-seed statistical record of the detector, and its comparator.
 
-Writes one JSON file of nine arms:
+Writes one JSON file of ten arms:
 
 - null size at n = 40, 100 and 300: model1 with k* = n, a sequence with
   no change whose densities are i.i.d. Beta(U(10,15), U(10,15)) as in
@@ -10,12 +10,14 @@ Writes one JSON file of nine arms:
 - model1-3 with 20 outliers, cleaned, against raw L2 (n = 100);
 - a weak early break: model3, n = 40, k* = 6, 8 outliers, cleaned;
 - the limit law: the share of L = 1 limit samples at or above the squared
-  Kolmogorov 0.95 point, whose target is 0.05.
+  Kolmogorov 0.95 point, and of L = 3 samples at or above a committed
+  fine-grid 0.95 point; the target of both is 0.05.
 
-Every arm but the limit law is a ``run_experiment`` call.  Per arm and
-method it records the rejection rate with its binomial standard error,
-the quartiles of |k_hat - k*| (null on a no-change arm), the histogram of
-the retained eigenvalue count L, and the normals the Monte Carlo drew.
+Every arm but the two limit-law arms is a ``run_experiment`` call.  Per
+arm and method it records the rejection rate with its binomial standard
+error, the quartiles of |k_hat - k*| (null on a no-change arm), the
+histogram of the retained eigenvalue count L, and the normals the Monte
+Carlo drew.
 The file depends only on the seed and the code, so a rerun writes the same
 bytes at any thread count.
 
@@ -24,10 +26,10 @@ bytes at any thread count.
 
 ``--compare`` exits 1 when a data arm's rejection rate moves by more than
 RATE_Z pooled standard errors or one of its quartiles by more than
-QUARTILE_STEP indices, when the new limit-law share lies more than
-LIMIT_Z standard errors from its target, or when NEW lacks an arm; the
-old limit-law share is shown but not judged, and an arm that only NEW
-has is shown as new and not judged.
+QUARTILE_STEP indices, when a new limit-law share lies more than LIMIT_Z
+standard errors from its target, or when NEW lacks an arm.  Old
+limit-law shares are shown but not judged; every limit-law arm in NEW is
+judged, and a data arm that only NEW has is shown as new and not judged.
 """
 
 from __future__ import annotations
@@ -50,9 +52,17 @@ from bayes_cpd.seeds import derive_seed
 RATE_Z = 3.0
 #: Indices a quartile of |k_hat - k*| may move.
 QUARTILE_STEP = 1.0
-#: Target share of the limit-law arm and the standard errors it may miss by.
+#: Target share of the limit-law arms and the standard errors they may miss by.
 LIMIT_TARGET = 0.05
 LIMIT_Z = 3.0
+#: The 0.95 quantile of sup_x sum_l lambda_l B_l(x)^2 for lambda = (0.6, 0.3, 0.1),
+#: which has no closed form:
+#:     np.quantile(simulate_limit_samples([0.6, 0.3, 0.1], 400_000, bridge_nodes=2001,
+#:                                        seed=2503, threads=2), 0.95)
+#: Its standard error is 0.0020, from the 95% order-statistic interval
+#: [1.2346, 1.2423]; as a share it is sqrt(0.05 * 0.95 / 400_000) = 0.00034.
+LIMIT_L3_POINT = 1.2384930490257646
+LIMIT_L3_POINT_SAMPLES = 400_000
 
 EXPERIMENT_ARMS = (
     ("null_n40", dict(generator="model1", n=40, k_star=40, compare_l2=False)),
@@ -73,10 +83,10 @@ EXPERIMENT_ARMS = (
 SIZES = {
     "full": {"null_n100": 4000, "null_n300": 4000, "sim1": 100, "model1_clean": 100,
              "model2_clean": 100, "model3_clean": 100, "weak_break": 200,
-             "limit_law": 40_000, "null_n40": 4000},
+             "limit_law": 40_000, "null_n40": 4000, "limit_law_l3": 40_000},
     "smoke": {"null_n100": 40, "null_n300": 20, "sim1": 10, "model1_clean": 10,
               "model2_clean": 10, "model3_clean": 10, "weak_break": 20,
-              "limit_law": 4_000, "null_n40": 40},
+              "limit_law": 4_000, "null_n40": 40, "limit_law_l3": 4_000},
 }
 ARM_NAMES = tuple(SIZES["full"])
 
@@ -93,6 +103,14 @@ def kolmogorov_quantile(p: float) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if cdf(mid) < p else (lo, mid)
     return 0.5 * (lo + hi)
+
+
+#: Per limit-law arm: its eigenvalues, its 0.95 point, and the samples that
+#: point was estimated from (None for a closed form).
+LIMIT_ARMS = {
+    "limit_law": ((1.0,), kolmogorov_quantile(0.95) ** 2, None),
+    "limit_law_l3": ((0.6, 0.3, 0.1), LIMIT_L3_POINT, LIMIT_L3_POINT_SAMPLES),
+}
 
 
 def method_entry(rejected: list[bool], abs_errors: list[int] | None, ells: list,
@@ -132,13 +150,20 @@ def experiment_arm(overrides: dict, reps: int, seed: int, threads: int) -> dict:
     return {"replicates": reps, "normals_drawn": normals, "methods": methods}
 
 
-def limit_arm(samples: int, seed: int, threads: int) -> dict:
-    point = kolmogorov_quantile(0.95) ** 2
-    draws = simulate_limit_samples([1.0], samples, seed=seed, threads=threads)
+def limit_arm(eigen: tuple, point: float, point_samples: int | None, samples: int,
+              seed: int, threads: int) -> dict:
+    """Share of limit samples for ``eigen`` at or above its 0.95 ``point``.
+
+    A point estimated from ``point_samples`` draws adds its own binomial
+    error to the standard error of the share.
+    """
+    draws = simulate_limit_samples(eigen, samples, seed=seed, threads=threads)
     share = float(np.mean(draws >= point))
-    return {"samples": samples, "point": point, "share": share, "target": LIMIT_TARGET,
-            "se": math.sqrt(LIMIT_TARGET * (1.0 - LIMIT_TARGET) / samples),
-            "normals_drawn": samples * (DEFAULT_BRIDGE_NODES - 1)}
+    inverse_count = 1.0 / samples + (1.0 / point_samples if point_samples else 0.0)
+    return {"eigenvalues": list(eigen), "samples": samples, "point": point, "share": share,
+            "target": LIMIT_TARGET,
+            "se": math.sqrt(LIMIT_TARGET * (1.0 - LIMIT_TARGET) * inverse_count),
+            "normals_drawn": samples * len(eigen) * (DEFAULT_BRIDGE_NODES - 1)}
 
 
 def run_study(size: str, seed: int, threads: int) -> dict:
@@ -147,8 +172,8 @@ def run_study(size: str, seed: int, threads: int) -> dict:
     for index, name in enumerate(ARM_NAMES):
         arm_seed = derive_seed(seed, index)
         start = time.perf_counter()
-        if name == "limit_law":
-            arms[name] = limit_arm(sizes[name], arm_seed, threads)
+        if name in LIMIT_ARMS:
+            arms[name] = limit_arm(*LIMIT_ARMS[name], sizes[name], arm_seed, threads)
         else:
             arms[name] = experiment_arm(dict(EXPERIMENT_ARMS)[name], sizes[name], arm_seed,
                                         threads)
@@ -171,19 +196,20 @@ def compare(old: dict, new: dict) -> list[str]:
         if name not in new["arms"]:
             problems.append(f"{name}: arm missing")
             continue
-        b = new["arms"][name]
-        if name not in old["arms"]:
-            for method, mb in b["methods"].items():
-                print(f"{name:14s} {method:10s} {'new':>15s} {_fmt(mb['rate'], mb['se']):>15s}")
-            continue
-        a = old["arms"][name]
-        if name == "limit_law":
+        b, a = new["arms"][name], old["arms"].get(name)
+        if name in LIMIT_ARMS:
             z = (b["share"] - b["target"]) / b["se"]
-            print(f"{name:14s} {'L = 1':10s} {a['share']:15.4f} {b['share']:15.4f} {z:6.2f}  "
-                  f"target {b['target']} +/- {LIMIT_Z} x {b['se']:.4f}")
+            was = "new" if a is None else f"{a['share']:.4f}"
+            print(f"{name:14s} {f'L = {len(LIMIT_ARMS[name][0])}':10s} {was:>15s} "
+                  f"{b['share']:15.4f} {z:6.2f}  target {b['target']} +/- {LIMIT_Z} x "
+                  f"{b['se']:.4f}")
             if abs(z) > LIMIT_Z:
                 problems.append(f"{name}: share {b['share']:.4f} is {z:.2f} SE from "
                                 f"{b['target']}")
+            continue
+        if a is None:
+            for method, mb in b["methods"].items():
+                print(f"{name:14s} {method:10s} {'new':>15s} {_fmt(mb['rate'], mb['se']):>15s}")
             continue
         for method, mb in b["methods"].items():
             ma = a["methods"].get(method)

@@ -13,7 +13,7 @@ transformed values, so they differ in nothing but the transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ EIGENVALUE_CLIP_RATIO = 1e-12
 DEFAULT_ALPHA = 0.05
 DEFAULT_MC_SAMPLES = 2000
 DEFAULT_THETA = 0.95
-DEFAULT_BRIDGE_NODES = 64
+DEFAULT_BRIDGE_NODES = 33
 #: beta = -zeta(1/2) / sqrt(2 pi): a continuous path's supremum lies about beta
 #: local standard deviations times sqrt(dt) above its largest value on a grid
 #: of step dt.
@@ -67,8 +67,8 @@ def check_settings(
         raise StructuralError(f"mc_samples must be >= 1, got {mc_samples}")
     if not 0.0 < theta <= 1.0:
         raise StructuralError(f"theta must be in (0, 1], got {theta}")
-    if bridge_nodes < 64:
-        raise StructuralError(f"bridge_nodes must be >= 64, got {bridge_nodes}")
+    if bridge_nodes < 33:
+        raise StructuralError(f"bridge_nodes must be >= 33, got {bridge_nodes}")
     if method not in METHODS:
         raise StructuralError(f"unknown method {method!r}; choose from {METHODS}")
 
@@ -357,9 +357,10 @@ def simulate_limit_samples(
     with beta = -zeta(1/2) / sqrt(2 pi) (:data:`BRIDGE_SHIFT`) and sigma^2 =
     sum_l lambda_l^2 B_l^2 / sum_l lambda_l B_l^2 the local variance of
     sqrt(S) at the maximizing node (Broadie, Glasserman & Kou, Math.
-    Finance 7, 1997; Finance Stoch. 3, 1999); the default 64 nodes then
-    hit the continuous law's tail.  The result scales exactly linearly in
-    the eigenvalues, and an all-zero vector gives zero samples.
+    Finance 7, 1997; Finance Stoch. 3, 1999); the default 33 nodes, 32
+    normals per bridge, then hit the continuous law in its body and tail.
+    The result scales exactly linearly in the eigenvalues, and an all-zero
+    vector gives zero samples.
 
     Samples are generated in fixed-size chunks with seeds derived from
     ``(seed, chunk)``, so output is independent of thread count.  The
@@ -390,11 +391,10 @@ def mean_increment(seq: DistributionalSequence, k_hat: int) -> DensityFunction:
 
 @dataclass(frozen=True)
 class _Statistic:
-    """What :func:`detect` knows before its Monte Carlo: the sequence and
-    method tested, the CUSUM profile and the retained eigenvalues, which
-    are empty for a degenerate input."""
+    """What :func:`detect` knows before its Monte Carlo: the method tested,
+    the CUSUM profile and the retained eigenvalues, which are empty for a
+    degenerate input."""
 
-    seq: DistributionalSequence
     method: str
     profile: CusumProfile
     eigenvalues: tuple[float, ...]
@@ -416,26 +416,22 @@ def _detect_statistic(seq: DistributionalSequence, theta: float, method: str) ->
         eigenvalues = tuple(float(v) for v in eigen.retained())
         if eigenvalues:
             _checked_eigenvalues(eigenvalues)
-    return _Statistic(seq, method, profile, eigenvalues)
+    return _Statistic(method, profile, eigenvalues)
 
 
 def _detect_result(
     stat: _Statistic, samples: np.ndarray | None, alpha: float, mc_samples: int, seed: int
 ) -> DetectionResult:
     """Stage 2 of :func:`detect`: the p-value from the limit ``samples``
-    (None when nothing was retained, which gives p = 1) and the result."""
-    k_hat, seq = stat.profile.argmax_k, stat.seq
+    (None when nothing was retained, which gives p = 1) and the result,
+    without the mean increment, which only :func:`detect` adds."""
     p = 1.0 if samples is None else p_value(stat.profile.statistic, samples)
-    reject = p < alpha
-    increment = None
-    if reject and stat.method == METHOD_BAYES and k_hat < seq.n:
-        increment = mean_increment(seq, k_hat)
     return DetectionResult(
-        k_hat=k_hat,
+        k_hat=stat.profile.argmax_k,
         statistic=stat.profile.statistic,
         p_value=p,
         alpha=alpha,
-        reject_null=reject,
+        reject_null=p < alpha,
         L=len(stat.eigenvalues),
         eigenvalues=stat.eigenvalues,
         mc_samples=mc_samples,
@@ -443,7 +439,6 @@ def _detect_result(
         centering=CENTERING,
         degenerate=not stat.eigenvalues,
         method=stat.method,
-        increment=increment,
     )
 
 
@@ -473,4 +468,7 @@ def detect(
         samples = simulate_limit_samples(
             stat.eigenvalues, mc_samples, bridge_nodes=bridge_nodes, seed=seed, threads=threads
         )
-    return _detect_result(stat, samples, alpha, mc_samples, seed)
+    result = _detect_result(stat, samples, alpha, mc_samples, seed)
+    if result.reject_null and method == METHOD_BAYES and result.k_hat < seq.n:
+        result = dc_replace(result, increment=mean_increment(seq, result.k_hat))
+    return result

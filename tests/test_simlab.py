@@ -23,9 +23,9 @@ from bayes_cpd import (
     run_experiment,
     zero_avoid,
 )
-from bayes_cpd import simlab
+from bayes_cpd import engine, simlab
 from bayes_cpd.engine import p_value, simulate_limit_samples
-from bayes_cpd.errors import DegenerateInputError, DomainError, StructuralError
+from bayes_cpd.errors import DegenerateInputError, DomainError, NumericError, StructuralError
 from bayes_cpd.io import dump_json, experiment_report_to_dict
 from bayes_cpd.seeds import derive_seed
 from bayes_cpd.simlab import MODEL2_MEAN, summarize_records
@@ -262,6 +262,18 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="detector bug"):
             run_experiment(ExperimentConfig(replicates=1, compare_l2=compare_l2, **self.CFG))
 
+    def test_replicates_never_build_the_mean_increment(self, monkeypatch):
+        def overflow(seq, k_hat):
+            raise NumericError("clr_inv overflow")
+
+        monkeypatch.setattr(engine, "mean_increment", overflow)
+        config = ExperimentConfig(replicates=3, compare_l2=True, **self.CFG)
+        report = run_experiment(config)
+        assert [rec.error for rec in report.records] == [None] * 6
+        assert any(rec.rejected for rec in report.records_for("bayes-clr"))
+        with pytest.raises(NumericError, match="overflow"):  # detect still builds it
+            detect(gen_model1(60, 30, 3), mc_samples=50, seed=1)
+
     def test_invalid_generator_rejected(self):
         with pytest.raises(StructuralError):
             ExperimentConfig(generator="nope")
@@ -383,5 +395,10 @@ class TestPairedArms:
         # The other arm's p-value comes from the draw that both arms' spectra shaped.
         assert ok == shared[ok.method]
         if failing == "l2-raw":  # the larger arm failed, so the Bayes draw was padded
-            bayes, _ = self.standalone(config, 0)
-            assert ok.p_value != bayes.p_value
+            bayes, l2 = self.standalone(config, 0)
+            padded = bayes.eigenvalues + (0.0,) * (l2.L - bayes.L)
+            kwargs = dict(mc_samples=config.mc_samples, seed=bayes.seed)
+            shared_draw = simulate_limit_samples(padded, **kwargs)
+            assert ok.p_value == p_value(bayes.statistic, shared_draw)
+            assert not np.array_equal(shared_draw,
+                                      simulate_limit_samples(bayes.eigenvalues, **kwargs))

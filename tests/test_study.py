@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from bayes_cpd import simlab
 from bayes_cpd.errors import DegenerateInputError
 
@@ -43,16 +45,16 @@ def test_single_arm_errors_counted(monkeypatch):
     assert entry["abs_error_quartiles"] is not None
 
 
-def _stats(names):
-    """A study file whose data arms all read 1 rejection in 10."""
+def _stats(names, share=0.05):
+    """A study file whose data arms all read 1 rejection in 10 and whose
+    limit-law arms read ``share``."""
     entry = {"count": 10, "errored": 0, "rejections": 1, "rate": 0.1, "se": 0.095,
              "abs_error_quartiles": None, "L_histogram": {"1": 10}}
-    arms = {name: {"replicates": 10, "normals_drawn": 0,
-                   "methods": {"bayes-clr": entry}}
-            for name in names if name != "limit_law"}
-    arms["limit_law"] = {"samples": 4000, "point": 1.8, "share": 0.05, "target": 0.05,
-                         "se": 0.0034, "normals_drawn": 0}
-    return {"arms": arms}
+    limit = {"samples": 4000, "point": 1.8, "share": share, "target": 0.05,
+             "se": 0.0034, "normals_drawn": 0}
+    return {"arms": {name: limit if name in study.LIMIT_ARMS else
+                     {"replicates": 10, "normals_drawn": 0, "methods": {"bayes-clr": entry}}
+                     for name in names}}
 
 
 def test_arm_only_in_new_is_shown_and_not_judged(capsys):
@@ -68,3 +70,20 @@ def test_arm_missing_from_new_fails():
     old = _stats(study.ARM_NAMES)
     new = _stats([name for name in study.ARM_NAMES if name != "null_n40"])
     assert study.compare(old, new) == ["null_n40: arm missing"]
+
+
+def test_limit_arm_only_in_new_is_judged(capsys):
+    old = _stats([name for name in study.ARM_NAMES if name != "limit_law_l3"])
+    assert study.compare(old, _stats(study.ARM_NAMES)) == []
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("limit_law_l3")]
+    assert row.split()[1:5] == ["L", "=", "3", "new"]
+    assert study.compare(old, _stats(study.ARM_NAMES, share=0.07)) == [
+        f"{name}: share 0.0700 is 5.88 SE from 0.05" for name in study.LIMIT_ARMS]
+
+
+def test_limit_arm_at_its_point_and_size():
+    arm = study.limit_arm((0.6, 0.3, 0.1), 1.2, 400, 50, 5, 1)
+    assert (arm["eigenvalues"], arm["samples"], arm["point"]) == ([0.6, 0.3, 0.1], 50, 1.2)
+    assert arm["se"] == pytest.approx((0.05 * 0.95 * (1 / 50 + 1 / 400)) ** 0.5)
+    assert arm["normals_drawn"] == 50 * 3 * (study.DEFAULT_BRIDGE_NODES - 1)
