@@ -133,9 +133,8 @@ def method_entry(rejected: list[bool], abs_errors: list[int] | None, ells: list,
 
 def experiment_arm(overrides: dict, reps: int, seed: int, threads: int) -> dict:
     """Each arm of one experiment, Bayes against raw L2 unless ``compare_l2`` is off."""
-    config = ExperimentConfig(replicates=reps, seed=seed, threads=threads,
-                              **{"compare_l2": True, **overrides})
-    report = run_experiment(config)
+    config = ExperimentConfig(replicates=reps, seed=seed, **{"compare_l2": True, **overrides})
+    report = run_experiment(config, threads)
     methods, shared = {}, [0] * reps
     for method in (METHOD_BAYES, METHOD_L2) if config.compare_l2 else (METHOD_BAYES,):
         records = {rec.replicate: rec for rec in report.records_for(method)}

@@ -32,14 +32,13 @@ from .engine import (
 from .errors import BayesCpdError, DegenerateInputError, StructuralError
 from .ingestion import IngestConfig, SupportEstimate, build_sequence
 from .simlab import GENERATORS, ExperimentConfig, replicate_sequence, run_experiment
-from .seeds import resolve_threads
 
 EXIT_REJECT = 0
 EXIT_NO_REJECT = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-_THREADS_HELP = "worker threads, 0 = all cores (default: BAYES_CPD_THREADS or 1)"
+_THREADS_HELP = "worker threads, 0 = every CPU this process may run on"
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -62,6 +61,17 @@ def _bandwidth(text: str) -> float | None:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
+def _threads(text: str) -> int:
+    """``--threads``: a non-negative worker count, refused at parse time."""
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = -1
+    if threads < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return threads
 
 
 def _support(text: str) -> SupportEstimate:
@@ -147,17 +157,17 @@ def _read_sequence(path: str) -> DistributionalSequence:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    if args.clean and args.method != METHOD_BAYES:
+        raise StructuralError("--clean is only available with the bayes-clr method")
     _check_outputs(args.out, args.profile_csv, args.increment_csv, args.cleaning_report)
     seq = _read_sequence(args.density_csv)
     detect_kwargs = dict(
         alpha=args.alpha, mc_samples=args.mc_samples, theta=args.theta,
         seed=args.seed, method=args.method, bridge_nodes=args.bridge_nodes,
-        threads=resolve_threads(args.threads),
+        threads=args.threads,
     )
     cleaning_report = None
     if args.clean:
-        if args.method != METHOD_BAYES:
-            raise StructuralError("--clean is only available with the bayes-clr method")
         cleaning_report, result = clean_and_detect(seq, args.whisker, **detect_kwargs)
     else:
         result = detect(seq, **detect_kwargs)
@@ -202,9 +212,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         margin_fraction=args.margin, grid_nodes=args.grid_nodes,
         bandwidth=args.bandwidth,
         min_count=args.min_count, support=args.support,
-        threads=resolve_threads(args.threads),
     )
-    seq, report = build_sequence(series, config)
+    seq, report = build_sequence(series, config, args.threads)
     bio.write_density_csv(args.out, seq.grid, seq.values)
     _emit_json(bio.ingestion_report_to_dict(report), args.report)
     return 0
@@ -219,8 +228,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
         raise StructuralError(f"output directory cannot be created: {args.out_dir}")
     settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
-    config = ExperimentConfig(**{**settings, "threads": resolve_threads(args.threads)})
-    report = run_experiment(config)
+    config = ExperimentConfig(**settings)
+    report = run_experiment(config, args.threads)
     errored = {r.replicate for r in report.records if r.error is not None}
     if errored:
         print(f"{len(errored)} of {config.replicates} replicates errored", file=sys.stderr)
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", action="store_true",
                    help="remove distributional outliers before detection")
     p.add_argument("--whisker", type=float, default=DEFAULT_WHISKER, help=whisker_help)
-    p.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.add_argument("--out", help="write the result JSON here instead of stdout")
     p.add_argument("--profile-csv",
                    help="also write the CUSUM profile CSV of the input sequence here")
@@ -301,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum samples per retained segment")
     p.add_argument("--support", type=_support,
                    help="externally estimated support as LOW:HIGH")
-    p.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.add_argument("--out", help=density_out_help)
     p.add_argument("--report", help="write the ingestion report JSON here instead of stdout")
 
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density grid nodes")
     _add_detection_options(p)
     p.add_argument("--compare-l2", action="store_true", help="also run the raw-L2 competitor")
-    p.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.add_argument("--out-dir", help="directory for report JSON and CSVs")
 
     p = command("clean", _cmd_clean, "remove outlying densities from a density CSV")

@@ -281,7 +281,6 @@ class IngestConfig:
     bandwidth: float | None = None  # None = Silverman per segment
     min_count: int = DEFAULT_MIN_SEGMENT_COUNT
     support: SupportEstimate | None = None  # externally estimated, optional
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -297,10 +296,10 @@ class IngestionReport:
 
 
 def build_sequence(
-    series: RawSeries, config: IngestConfig | None = None
+    series: RawSeries, config: IngestConfig | None = None, threads: int = 1
 ) -> tuple[DistributionalSequence, IngestionReport]:
     """Full ingestion: filter, support, segment, then normalize and fit a
-    KDE per window.
+    KDE per window, on ``threads`` workers (0 = every usable CPU).
 
     Beyond the series, memory holds a keep mask, one window-id column while
     segmenting, and the samples of the windows being fitted: no filtered
@@ -335,7 +334,7 @@ def build_sequence(
             bandwidths[i] = silverman_bandwidth(unit)
         rows[i] = kde(unit, grid, bandwidths[i]).values
 
-    parallel_map(fill, range(len(seg.slices)), config.threads)
+    parallel_map(fill, range(len(seg.slices)), threads)
     report = IngestionReport(
         segments_total=len(seg.slices) + len(seg.dropped),
         segments_dropped=seg.dropped,

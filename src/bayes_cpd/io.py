@@ -439,8 +439,7 @@ def ingestion_report_to_dict(report: IngestionReport) -> dict:
 
 def experiment_report_to_dict(report: ExperimentReport) -> dict:
     return {
-        # how a run was scheduled is not part of its result
-        "config": _fields(report.config, "threads"),
+        "config": _fields(report.config),
         "summaries": {
             method: _fields(s, "method") for method, s in sorted(report.summaries.items())
         },

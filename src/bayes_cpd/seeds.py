@@ -19,8 +19,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 T = TypeVar("T")
 R = TypeVar("R")
 
-THREADS_ENV_VAR = "BAYES_CPD_THREADS"
-
 
 def derive_seed(seed: int, index: int) -> int:
     """Mix ``seed`` and ``index`` into an independent 64-bit stream seed.
@@ -35,31 +33,18 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Resolve a thread-count setting: None -> env var -> 1; 0 -> cpu count."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        try:
-            threads = int(raw) if raw else 1
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if threads == 0:  # the CPUs this process may run on; cpu_count ignores affinity
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ValueError("threads must be >= 0")
-    return threads
-
-
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
     """Map ``fn`` over ``items``, preserving order regardless of scheduling.
 
-    ``threads`` is resolved by :func:`resolve_threads`, so 0 means all CPUs.
+    ``threads = 0`` means every CPU this process may run on.
     """
-    threads = resolve_threads(threads)
+    if threads < 0:
+        raise ValueError("threads must be >= 0")
+    if threads == 0:  # the CPUs this process may run on; cpu_count ignores affinity
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

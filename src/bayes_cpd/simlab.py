@@ -234,7 +234,6 @@ class ExperimentConfig:
     grid_nodes: int = DEFAULT_NODE_COUNT
     bridge_nodes: int = DEFAULT_BRIDGE_NODES
     compare_l2: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.generator not in _GENERATOR_FNS:
@@ -375,20 +374,20 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
     return records
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Run the configured replicates and aggregate their outcomes.
 
-    Replicate r depends only on (config.seed, r); replicates may execute
-    in parallel and are reported in replicate order either way.  With
-    ``compare_l2`` the raw-L2 arm always sees the uncleaned (possibly
-    contaminated) sequence, and shares one Monte Carlo draw with the Bayes
-    arm.
+    Replicate r depends only on (config.seed, r); replicates run on
+    ``threads`` workers (0 = every usable CPU) and are reported in
+    replicate order either way.  With ``compare_l2`` the raw-L2 arm always
+    sees the uncleaned (possibly contaminated) sequence, and shares one
+    Monte Carlo draw with the Bayes arm.
     """
     grid = Grid(config.grid_nodes)
     per_rep = parallel_map(
         lambda r: _run_replicate(config, r, grid),
         range(config.replicates),
-        config.threads,
+        threads,
     )
     records = tuple(rec for batch in per_rep for rec in batch)
     return ExperimentReport(

@@ -155,7 +155,8 @@ def dense_covariance_eigen(res: np.ndarray, weights: np.ndarray,
     return clipped, min(truncation, int(np.count_nonzero(clipped)))
 
 
-def reference_build_sequence(series: RawSeries, config: IngestConfig | None = None
+def reference_build_sequence(series: RawSeries, config: IngestConfig | None = None,
+                             threads: int = 1
                              ) -> tuple[DistributionalSequence, IngestionReport]:
     """Reference for ``ingestion.build_sequence``: the filtered series is
     copied and normalized whole, split with one ``searchsorted`` over every
@@ -202,7 +203,7 @@ def reference_build_sequence(series: RawSeries, config: IngestConfig | None = No
     def fill(i: int) -> None:
         rows[i] = kde(segments[i], grid, bandwidths[i]).values
 
-    parallel_map(fill, range(len(segments)), config.threads)
+    parallel_map(fill, range(len(segments)), threads)
     report = IngestionReport(
         segments_total=len(segments) + len(dropped),
         segments_dropped=dropped,

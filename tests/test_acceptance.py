@@ -60,9 +60,9 @@ def grid():
 def sim1_report():
     cfg = ExperimentConfig(generator="sim1", n=100, k_star=50, replicates=REPS,
                            alpha=ALPHA, mc_samples=MC, theta=THETA,
-                           compare_l2=True, seed=20260810, threads=THREADS)
+                           compare_l2=True, seed=20260810)
     t0 = time.time()
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, threads=THREADS)
     return report, time.time() - t0
 
 
@@ -72,8 +72,8 @@ def model_reports():
     for gen in ("model1", "model2"):
         cfg = ExperimentConfig(generator=gen, n=100, k_star=50, replicates=REPS,
                                alpha=ALPHA, mc_samples=MC, theta=THETA,
-                               seed=99, threads=THREADS)
-        out[gen] = run_experiment(cfg)
+                               seed=99)
+        out[gen] = run_experiment(cfg, threads=THREADS)
     return out
 
 
@@ -123,9 +123,9 @@ def test_criterion_3_model2_moment_alignment(model_reports, grid):
 def test_criterion_4_contamination_and_cleaning():
     base = dict(generator="model3", n=100, k_star=50, replicates=REPS,
                 contamination_count=20, alpha=ALPHA, mc_samples=MC, theta=THETA,
-                seed=7, threads=THREADS)
-    raw = run_experiment(ExperimentConfig(clean=False, **base))
-    cleaned = run_experiment(ExperimentConfig(clean=True, **base))
+                seed=7)
+    raw = run_experiment(ExperimentConfig(clean=False, **base), threads=THREADS)
+    cleaned = run_experiment(ExperimentConfig(clean=True, **base), threads=THREADS)
     raw_rate = raw.summaries["bayes-clr"].rejection_rate
     clean_summary = cleaned.summaries["bayes-clr"]
     ok = (raw_rate < clean_summary.rejection_rate
@@ -239,7 +239,7 @@ def test_criterion_9_end_to_end_pipeline():
     for r in range(REPS):
         s = derive_seed(2468, r)
         series = _switch_series(derive_seed(s, 0))
-        seq, _ = build_sequence(series, IngestConfig(threads=THREADS))
+        seq, _ = build_sequence(series, IngestConfig(), threads=THREADS)
         _, result = clean_and_detect(seq, alpha=ALPHA, mc_samples=MC, theta=THETA,
                                      seed=derive_seed(s, 1), threads=THREADS)
         hits += (result.reject_null and abs(result.k_hat - 50) <= 3)

@@ -127,6 +127,12 @@ class TestDetectCommand:
         assert code == 0
         validate(json.loads(rep.read_text()), "cleaning_report")
 
+    def test_clean_with_l2_method_exit_two_before_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["detect", missing, "--clean", "--method", "l2-raw"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --clean is only available with the bayes-clr method\n")
+
     def test_allocation_failure_exit_two_without_output(self, sim_csv, tmp_path, capsys,
                                                         monkeypatch):
         def out_of_memory(*args, **kwargs):
@@ -708,20 +714,18 @@ class TestDeterminism:
             payloads.append(out.read_bytes() + rep.read_bytes())
         assert payloads[0] == payloads[1]
 
-    def test_bad_threads_env_var_exit_two(self, sim_csv, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BAYES_CPD_THREADS", "lots")
-        assert main(["detect", str(sim_csv), "--mc-samples", "50"]) == 2
-        assert "BAYES_CPD_THREADS" in capsys.readouterr().err
-
-    def test_threads_env_var_mirrors_flag(self, sim_csv, tmp_path, monkeypatch):
-        res_env, res_flag = tmp_path / "e.json", tmp_path / "f.json"
-        monkeypatch.setenv("BAYES_CPD_THREADS", "2")
-        main(["detect", str(sim_csv), "--mc-samples", "200", "--seed", "5",
-              "--out", str(res_env)])
-        monkeypatch.delenv("BAYES_CPD_THREADS")
-        main(["detect", str(sim_csv), "--mc-samples", "200", "--seed", "5",
-              "--threads", "2", "--out", str(res_flag)])
-        assert res_env.read_bytes() == res_flag.read_bytes()
+    @pytest.mark.parametrize("command", ["detect", "ingest", "experiment"])
+    def test_negative_threads_exit_two_before_input_is_read(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.csv")
+        argv = {
+            "detect": ["detect", missing],
+            "ingest": ["ingest", missing, "--out", str(tmp_path / "d.csv")],
+            "experiment": ["experiment", "--config", missing,
+                           "--out-dir", str(tmp_path / "out")],
+        }[command]
+        assert main(argv + ["--threads", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "No such file" not in err
 
 
 #: Runs every command with scipy blocked, as in an install that has only

@@ -303,6 +303,10 @@ class TestBuildSequence:
         for fa, fb in zip(a.densities, b.densities):
             np.testing.assert_array_equal(fa.values, fb.values)
 
+    def test_threads_is_a_call_argument_not_a_setting(self):
+        with pytest.raises(TypeError, match="threads"):
+            IngestConfig(threads=2)
+
     def test_too_few_segments_rejected(self):
         series = synth_series(4, n_days=3, switch_day=3)
         with pytest.raises(DegenerateInputError):
@@ -402,14 +406,14 @@ _BUILD_CASES = {
 }
 
 
-def _build_outcome(build, series, config):
+def _build_outcome(build, series, config, threads):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            seq, report = build(series, config)
+            seq, report = build(series, config, threads)
         except (StructuralError, DegenerateInputError) as exc:
             return type(exc).__name__, str(exc)
-    messages = [str(w.message) for w in caught] if config.threads == 1 else None
+    messages = [str(w.message) for w in caught] if threads == 1 else None
     return seq.values.shape, seq.values.tobytes(), report, messages
 
 
@@ -417,9 +421,9 @@ def _build_outcome(build, series, config):
 @pytest.mark.parametrize("t, v, fields, problem", _BUILD_CASES.values(),
                          ids=_BUILD_CASES.keys())
 def test_build_sequence_matches_the_whole_series_reference(t, v, fields, problem, threads):
-    series, config = RawSeries(t, v), IngestConfig(threads=threads, **fields)
-    got = _build_outcome(build_sequence, series, config)
-    assert got == _build_outcome(reference_build_sequence, series, config)
+    series, config = RawSeries(t, v), IngestConfig(**fields)
+    got = _build_outcome(build_sequence, series, config, threads)
+    assert got == _build_outcome(reference_build_sequence, series, config, threads)
     if problem is None:
         assert len(got) == 4
     else:

@@ -107,9 +107,7 @@ def test_experiment_report_keys_follow_the_schema(monkeypatch):
                               grid_nodes=128, mc_samples=100)
     payload = json.loads(dump_json(experiment_report_to_dict(run_experiment(config))))
     assert list(payload) == schema_keys("experiment_report")
-    assert list(payload["config"]) == [
-        f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "threads"
-    ]
+    assert list(payload["config"]) == [f.name for f in dataclasses.fields(ExperimentConfig)]
     summary_keys = schema_keys("experiment_report", "properties", "summaries",
                                "additionalProperties")
     assert sorted(payload["summaries"]) == ["bayes-clr", "error"]

@@ -1,6 +1,5 @@
 """Generators, contamination, and the repeated-experiment harness."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -219,10 +218,14 @@ class TestRunExperiment:
 
     def test_deterministic_and_thread_invariant(self):
         base = ExperimentConfig(replicates=4, **self.CFG)
-        a = run_experiment(dataclasses.replace(base, threads=1))
-        b = run_experiment(dataclasses.replace(base, threads=3))
+        a = run_experiment(base, threads=1)
+        b = run_experiment(base, threads=3)
         assert a.records == b.records
         assert a.summaries == b.summaries
+
+    def test_threads_is_a_call_argument_not_a_setting(self):
+        with pytest.raises(TypeError, match="threads"):
+            ExperimentConfig(threads=2, **self.CFG)
 
     def test_compare_l2_runs_both_methods(self):
         report = run_experiment(
@@ -306,8 +309,8 @@ class TestPairedArms:
 
     def test_thread_invariant_and_larger_arm_draws_as_standalone(self):
         base = ExperimentConfig(replicates=3, **self.CFG)
-        a = run_experiment(dataclasses.replace(base, threads=1))
-        b = run_experiment(dataclasses.replace(base, threads=3))
+        a = run_experiment(base, threads=1)
+        b = run_experiment(base, threads=3)
         assert a.records == b.records and a.summaries == b.summaries
         differing_L = 0
         for r in range(base.replicates):
