@@ -159,6 +159,10 @@ def _read_sequence(path: str) -> DistributionalSequence:
 def _cmd_detect(args: argparse.Namespace) -> int:
     if args.clean and args.method != METHOD_BAYES:
         raise StructuralError("--clean is only available with the bayes-clr method")
+    if args.cleaning_report is not None and not args.clean:
+        raise StructuralError("--cleaning-report needs --clean")
+    if args.increment_csv is not None and args.method != METHOD_BAYES:
+        raise StructuralError("--increment-csv is only available with the bayes-clr method")
     _check_outputs(args.out, args.profile_csv, args.increment_csv, args.cleaning_report)
     seq = _read_sequence(args.density_csv)
     detect_kwargs = dict(
@@ -166,7 +170,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         seed=args.seed, method=args.method, bridge_nodes=args.bridge_nodes,
         threads=args.threads,
     )
-    cleaning_report = None
     if args.clean:
         cleaning_report, result = clean_and_detect(seq, args.whisker, **detect_kwargs)
     else:
@@ -178,7 +181,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.increment_csv is not None and result.increment is not None:
         increment_path = args.increment_csv
         bio.write_density_csv(increment_path, seq.grid, result.increment.values[None, :])
-    if cleaning_report is not None and args.cleaning_report is not None:
+    if args.cleaning_report is not None:
         bio.dump_json(bio.cleaning_report_to_dict(cleaning_report), args.cleaning_report)
 
     # A degenerate *result* (zero profile / zero covariance) is still a valid

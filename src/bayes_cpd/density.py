@@ -82,7 +82,7 @@ def check_density_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
 
     Rows must be finite (else :class:`NumericError`), non-negative (else
     :class:`DomainError`) and of unit integral (else :class:`StructuralError`).
-    The error names the first bad row, 1-based, in its message and ``row``.
+    The error names the first bad row, 1-based, in its message and ``record``.
     """
     values = _readonly(values)
     if values.ndim != 2 or values.shape[1] != grid.node_count:
@@ -105,9 +105,7 @@ def check_density_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
             error, problem = StructuralError, (
                 f"density integral {float(totals[i])!r} outside 1 +/- {UNIT_INTEGRAL_TOL}"
             )
-        exc = error(f"density row {i + 1}: {problem}")
-        exc.row = i + 1
-        raise exc
+        raise error(f"density row {i + 1}: {problem}", record=i + 1)
     return values
 
 

@@ -2,7 +2,15 @@
 
 
 class BayesCpdError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``record`` is the 1-based index of the record an error blames, 0 for a
+    grid row, or None when no one record is to blame.
+    """
+
+    def __init__(self, *args, record: int | None = None):
+        super().__init__(*args)
+        self.record = record
 
 
 class StructuralError(BayesCpdError, ValueError):

@@ -36,8 +36,8 @@ KDE_KERNEL_RADIUS = 9.0
 class RawSeries:
     """Scalar feature samples at non-decreasing timestamps (epoch seconds).
 
-    A bad sample raises :class:`StructuralError` whose ``sample`` is the
-    1-based index of the first one.
+    A bad sample raises :class:`StructuralError` whose ``record`` is the
+    1-based index of the first one; an empty series names record 1.
     """
 
     timestamps: np.ndarray
@@ -49,7 +49,7 @@ class RawSeries:
         if t.shape != v.shape or t.ndim != 1:
             raise StructuralError("timestamps and values must be equal-length 1-d")
         if t.size == 0:
-            raise StructuralError("empty series")
+            raise StructuralError("empty series", record=1)
         # min and max propagate NaN, so they are finite only when every
         # sample is; bad[i] concerns sample i + 1 + offset (1-based)
         if all(math.isfinite(x) for x in (t.min(), t.max(), v.min(), v.max())):
@@ -57,9 +57,7 @@ class RawSeries:
         else:
             bad, offset, problem = ~(np.isfinite(t) & np.isfinite(v)), 0, "non-finite timestamp or value"
         if bad.any():
-            exc = StructuralError(problem)
-            exc.sample = int(np.argmax(bad)) + 1 + offset
-            raise exc
+            raise StructuralError(problem, record=int(np.argmax(bad)) + 1 + offset)
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
 

@@ -66,12 +66,16 @@ def _parse_float_row(row: list[str], line: int) -> np.ndarray:
         raise CsvFormatError(line, f"non-numeric cell ({exc})") from None
 
 
-def _checked_rows(grid: Grid, rows: list[np.ndarray], lines: list[int]) -> np.ndarray:
-    """Validated density matrix; a bad row raises with its file line."""
+def _checked(path, check, *args, prefix: str = ""):
+    """``check(*args)``; an error that blames a record of the CSV ``path``
+    raises :class:`CsvFormatError` naming that record's line, its message
+    after ``prefix``."""
     try:
-        return check_density_rows(grid, np.reshape(rows, (-1, grid.node_count)))
+        return check(*args)
     except BayesCpdError as exc:
-        raise CsvFormatError(lines[exc.row - 1], f"invalid {exc}") from None
+        if exc.record is None:
+            raise
+        raise CsvFormatError(_record_line(path, exc.record), prefix + str(exc)) from None
 
 
 def _line_end_count(data: bytes) -> int:
@@ -115,12 +119,12 @@ def _numbered_rows(fh):
             yield reader.line_num, row
 
 
-def _grid_from_row(nodes: np.ndarray, line: int) -> Grid:
+def _grid_from_row(nodes: np.ndarray) -> Grid:
     if nodes.size < 16:
-        raise CsvFormatError(line, f"grid needs >= 16 nodes, got {nodes.size}")
+        raise StructuralError(f"grid needs >= 16 nodes, got {nodes.size}", record=0)
     grid = Grid(nodes.size)
     if not np.allclose(nodes, grid.nodes, rtol=0.0, atol=_GRID_REL_TOL):
-        raise CsvFormatError(line, "grid row is not a uniform partition of [0, 1]")
+        raise StructuralError("grid row is not a uniform partition of [0, 1]", record=0)
     return grid
 
 
@@ -190,31 +194,28 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     the first bad line, whether it fails to parse or fails validation.
     Blank lines are skipped but still counted.
 
-    The file is parsed in blocks first.  A file that parse refuses, or
-    whose grid or rows fail their checks, is read again row by row, so
-    every error comes from the row reader.
+    The file is parsed in blocks, and row by row only where that parse
+    refuses it; a grid or row failing its checks is named through
+    :func:`_checked` on the line the row reader would name.
     """
     with open(path, "rb") as fh:
         tables = list(_float_blocks(_line_blocks(fh), None))
     if tables and tables[-1] is not None:
         table = np.concatenate(tables)
-        try:
-            grid = _grid_from_row(table[0], 1)
-            return grid, check_density_rows(grid, table[1:])
-        except BayesCpdError:
-            pass  # the row reader names the line and the problem
+        grid = _checked(path, _grid_from_row, table[0])
+        return grid, _checked(path, check_density_rows, grid, table[1:], prefix="invalid ")
     return _read_density_rows(path)
 
 
 def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
     """The row-by-row reader behind :func:`read_density_csv`."""
-    parsed, lines = [], []
+    parsed = []
     with open(path, "rb") as fh:
         rows = _numbered_rows(fh)
         grid_line, grid_row = next(rows, (1, None))
         if grid_row is None:
             raise CsvFormatError(1, "need a grid row")
-        grid = _grid_from_row(_parse_float_row(grid_row, grid_line), grid_line)
+        grid = _checked(path, _grid_from_row, _parse_float_row(grid_row, grid_line))
         try:
             for line, row in rows:
                 values = _parse_float_row(row, line)
@@ -223,12 +224,12 @@ def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
                         line, f"expected {grid.node_count} values, got {values.size}"
                     )
                 parsed.append(values)
-                lines.append(line)
         except CsvFormatError:
-            if parsed:
-                _checked_rows(grid, parsed, lines)  # an earlier invalid row comes first
+            if parsed:  # an earlier invalid row comes first
+                _checked(path, check_density_rows, grid, np.vstack(parsed), prefix="invalid ")
             raise
-    return grid, _checked_rows(grid, parsed, lines)
+    matrix = np.reshape(parsed, (-1, grid.node_count))
+    return grid, _checked(path, check_density_rows, grid, matrix, prefix="invalid ")
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +263,17 @@ def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
     The first bad record raises :class:`CsvFormatError` with its physical
     line; blank lines are skipped but still counted.
 
-    An epoch file is parsed in blocks by ``np.loadtxt`` first.  An ISO
-    file, and an epoch file that parse refuses or whose samples fail the
-    checks of :class:`RawSeries`, is read row by row, so every error comes
-    from the row reader.
+    An epoch file is parsed in blocks by ``np.loadtxt``, and row by row
+    only where that parse refuses it; an ISO file is read row by row.  A
+    sample failing the checks of :class:`RawSeries` is named through
+    :func:`_checked` on the line the row reader would name.
     """
     if timestamp_format not in TIMESTAMP_FORMATS:
         raise StructuralError(f"timestamp_format must be iso|epoch, got {timestamp_format!r}")
     if timestamp_format == "epoch":
         columns = _epoch_block_columns(path)
         if columns is not None:
-            try:
-                return RawSeries(*columns)
-            except StructuralError:
-                pass  # the row reader names the line and the problem
+            return _checked(path, RawSeries, *columns)
     return _read_raw_rows(path, timestamp_format)
 
 
@@ -321,23 +319,16 @@ def _read_raw_rows(path, timestamp_format: str) -> RawSeries:
                     raise CsvFormatError(line, f"non-numeric value {row[1]!r}") from None
                 timestamps.append(timestamp)  # once both cells parse: the columns stay equal
         except CsvFormatError:
-            if timestamps:
-                _checked_series(path, timestamps, values)  # an earlier invalid sample comes first
+            if timestamps:  # an earlier invalid sample comes first
+                _checked(path, RawSeries, np.frombuffer(timestamps), np.frombuffer(values))
             raise
-    return _checked_series(path, timestamps, values)
-
-
-def _checked_series(path, timestamps: array, values: array) -> RawSeries:
-    """Validated series; a bad sample raises with its file line."""
-    try:
-        return RawSeries(np.frombuffer(timestamps), np.frombuffer(values))
-    except StructuralError as exc:
-        raise CsvFormatError(_record_line(path, getattr(exc, "sample", 1)), str(exc)) from None
+    return _checked(path, RawSeries, np.frombuffer(timestamps), np.frombuffer(values))
 
 
 def _record_line(path, record: int) -> int:
-    """Physical line of 1-based data record ``record`` of a raw series CSV,
-    or the line after the last record if the file holds fewer.
+    """Physical line of record ``record`` of the CSV ``path``: 0 is its
+    header or grid row, i >= 1 its i-th data record, and a record past the
+    last names the line after it.
 
     Read again on the error path only, so parsing keeps no per-row lines.
     """

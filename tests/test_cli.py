@@ -133,6 +133,23 @@ class TestDetectCommand:
         assert capsys.readouterr().err == (
             "error: --clean is only available with the bayes-clr method\n")
 
+    def test_cleaning_report_without_clean_exit_two_before_input_is_read(self, tmp_path,
+                                                                         capsys):
+        missing = str(tmp_path / "missing.csv")
+        rep = tmp_path / "r.json"
+        assert main(["detect", missing, "--cleaning-report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert "--cleaning-report" in err and "missing.csv" not in err
+        assert not rep.exists()
+
+    def test_increment_with_l2_method_exit_two_before_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        inc = tmp_path / "i.csv"
+        assert main(["detect", missing, "--method", "l2-raw", "--increment-csv", str(inc)]) == 2
+        err = capsys.readouterr().err
+        assert "--increment-csv" in err and "missing.csv" not in err
+        assert not inc.exists()
+
     def test_allocation_failure_exit_two_without_output(self, sim_csv, tmp_path, capsys,
                                                         monkeypatch):
         def out_of_memory(*args, **kwargs):
@@ -544,13 +561,14 @@ class TestConfigFile:
                    ["replicates"]}
         assert methods == {"bayes-clr", "l2-raw"}
 
-    def test_boolean_off_leaves_cleaning_off(self, tmp_path):
+    def test_boolean_off_leaves_cleaning_off(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("clean = off\n")
         rep = tmp_path / "cleaning.json"
         assert main(["detect", str(_small_break_csv(tmp_path)), "--config", str(cfg),
                      "--mc-samples", "50", "--out", str(tmp_path / "r.json"),
-                     "--cleaning-report", str(rep)]) in (0, 1)
+                     "--cleaning-report", str(rep)]) == 2
+        assert capsys.readouterr().err == "error: --cleaning-report needs --clean\n"
         assert not rep.exists()
 
     def test_experiment_flag_overrides_config(self, tmp_path):

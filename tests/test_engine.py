@@ -538,7 +538,7 @@ class TestSequenceType:
             values[5] *= 2.0  # a later row with a bad integral is not the first
             with pytest.raises(error, match="density row 5") as info:
                 DistributionalSequence(grid, values)
-            assert info.value.row == 5
+            assert info.value.record == 5
         with pytest.raises(StructuralError, match="density row 2"):
             DistributionalSequence(grid, np.vstack([good, 2.0 * good, good, good]))
 

@@ -76,8 +76,9 @@ class TestSegment:
             segment(hourly_series(2), 0.0)
 
     def test_empty_series_rejected(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError) as info:
             RawSeries(np.array([]), np.array([]))
+        assert info.value.record == 1
 
     @pytest.mark.parametrize("window", [float("nan"), -float("inf")])
     def test_nan_or_negative_infinite_window_rejected(self, window):

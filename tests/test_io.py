@@ -287,6 +287,8 @@ def _with_cell(cell: str) -> list[str]:
 
 
 _GOOD = _density_file(_CELLS, _CELLS, _CELLS)
+_BLANK_THEN_BAD_GRID = "\n".join([  # node 1 is 1/15 on a uniform grid
+    "", ",".join(["0.0", "0.1", *_HEADER.split(",")[2:]]), ",".join(_CELLS)]) + "\n"
 _INSERTED = "\n".join([_HEADER, ",".join(_CELLS), "{}", ",".join(_CELLS)]) + "\n"
 
 # (file text, None for a valid file or the row reader's error)
@@ -316,6 +318,8 @@ _DIFFERENTIAL_CASES = {
     "grid-only": (_HEADER + "\n", None),
     "empty": ("", "line 1: need a grid row"),
     "blank-only": ("\n\r\n\n", "line 1: need a grid row"),
+    "blank-line-then-bad-grid": (_BLANK_THEN_BAD_GRID,
+                                 "line 2: grid row is not a uniform partition of [0, 1]"),
 }
 
 
@@ -586,6 +590,27 @@ def test_well_formed_epoch_csv_is_read_in_blocks(tmp_path, monkeypatch, text):
     path.write_bytes(text.encode("utf-8"))
     series = read_raw_series_csv(path, "epoch")
     assert series.timestamps.size == text.count("\n") - 1
+
+
+@pytest.mark.parametrize("text, read, line, message", [
+    ("\n".join([_HEADER, "", ",".join(_CELLS), "", "-" + ",".join(_CELLS)]) + "\n",
+     read_density_csv, 5, "invalid density row 2: negative density value"),
+    (_BLANK_THEN_BAD_GRID, read_density_csv, 2, "grid row is not a uniform partition of [0, 1]"),
+    (_epoch("1,2", "3,3", "\n2,4"), lambda path: read_raw_series_csv(path, "epoch"),
+     5, "timestamps must be non-decreasing"),
+], ids=["density-row", "density-grid", "epoch-sample"])
+def test_record_failing_its_check_is_named_without_the_row_reader(tmp_path, monkeypatch, text,
+                                                                  read, line, message):
+    def row_reader(*args):
+        raise AssertionError("the row reader ran on a file the block parse read")
+
+    monkeypatch.setattr(bio, "_read_density_rows", row_reader)
+    monkeypatch.setattr(bio, "_read_raw_rows", row_reader)
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as info:
+        read(path)
+    assert info.value.line == line and str(info.value) == f"line {line}: {message}"
 
 
 @pytest.mark.parametrize("timestamp_format, n", [("epoch", 1 << 20), ("iso", 1 << 18)],
