@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the result JSON here instead of stdout")
     p.add_argument("--profile-csv",
                    help="also write the CUSUM profile CSV of the input sequence here")
-    p.add_argument("--increment-csv", help="write the estimated mean increment density CSV here")
+    p.add_argument("--increment-csv",
+                   help="write the estimated mean increment density CSV here; written only "
+                        "when a Bayes rejection at an interior split estimates one")
     p.add_argument("--cleaning-report", help="write the cleaning report JSON here")
 
     p = command("simulate", _cmd_simulate, "generate a synthetic density CSV")

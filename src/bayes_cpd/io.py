@@ -19,7 +19,9 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
+import warnings
 from array import array
 from pathlib import Path
 
@@ -35,9 +37,10 @@ from .simlab import ExperimentReport
 _GRID_REL_TOL = 1e-9
 #: ASCII separators that ``np.loadtxt`` strips as cell padding and ``float`` refuses.
 _LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
-#: Bytes of a CSV file read at once by the block parse.
+#: Bytes of a CSV file read at once by a pre-pass or the row reader.
 _RAW_BLOCK_BYTES = 1 << 18
-_LINE_ENDS = re.compile(rb"[\r\n]*")
+#: Suffixes of the files that ``np.loadtxt``, given their path, would decompress.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 TIMESTAMP_FORMATS = ("iso", "epoch")
 
@@ -85,6 +88,16 @@ def _line_end_count(data: bytes) -> int:
     if b"\r" in data:
         ends += data.count(b"\r") - data.count(b"\r\n")
     return ends
+
+
+def _record_count(data: bytes) -> int:
+    """Non-blank lines of ``data``, a block of :func:`_line_blocks`: the
+    bytes that begin a line and end none (no line begins inside CR LF)."""
+    codes = np.frombuffer(data, dtype=np.uint8)
+    ends = codes == ord("\n")
+    if b"\r" in data:
+        ends |= codes == ord("\r")
+    return int(np.count_nonzero(ends[:-1] > ends[1:]) + (not ends[0]))
 
 
 def _text_lines(fh):
@@ -153,37 +166,44 @@ def _line_blocks(fh):
         yield carry
 
 
-def _line_count(fh) -> int:
-    """Lines of binary handle ``fh``, an unfinished last one included;
-    ``fh`` is left at its start."""
-    lines = 1 + sum(map(_line_end_count, _line_blocks(fh)))
-    fh.seek(0)
-    return lines
+def _bulk_table(path, header: bool = False) -> np.ndarray | None:
+    """The float table of the CSV ``path`` by one ``np.loadtxt`` call, past
+    the raw series header when ``header`` is set; None where that parse
+    refuses the file, finds no data or could read it otherwise than the
+    row reader.
 
-
-def _float_blocks(blocks, columns: int | None):
-    """Yield one float matrix of ``columns`` columns per block holding data
-    (the first such block's width when ``columns`` is None).  Where
-    ``np.loadtxt`` refuses a block or could read it more leniently than
-    ``float`` reads a cell, yield None and stop.
+    ``np.loadtxt`` reads a path in chunks in C, but a file object one
+    Python line at a time, so it is given the path; its opener would
+    decompress a compressed suffix and fetch a URL, so those paths are
+    refused.  A pre-pass over the bytes refuses a byte ``np.loadtxt``
+    strips and ``float`` refuses, and counts the records, so numpy
+    allocates the table once and blank lines cost it nothing.
     """
-    for block in blocks:
-        if _LINE_ENDS.fullmatch(block):
-            continue  # blank lines only, which np.loadtxt would warn of
-        if any(c in block for c in _LOADTXT_ONLY_SPACE):
-            yield None
-            return
-        try:  # decoded as read: a str of the block could take 4 bytes a character
-            text = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
-            table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+    path = os.fspath(path)
+    if path.endswith(_COMPRESSED_SUFFIXES) or "://" in path:
+        return None
+    skip, records = 0, 0
+    with open(path, "rb") as fh:
+        for i, block in enumerate(_line_blocks(fh)):
+            if any(c in block for c in _LOADTXT_ONLY_SPACE):
+                return None
+            if header and i == 0:  # a first block holds a whole first line
+                match = _HEADER_LINE.match(block)
+                if not _is_raw_header(match[1].decode("utf-8", "replace").split(",")):
+                    return None
+                skip = _line_end_count(block[:match.end()])
+            records += _record_count(block)
+    rows = records - header  # a header is a record
+    if rows < 1:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns of a blank line under max_rows
+        try:
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                               max_rows=rows, encoding="utf-8-sig")
         except ValueError:
-            yield None
-            return
-        columns = columns or table.shape[1]
-        if table.shape[1] != columns:
-            yield None
-            return
-        yield table
+            return None
+    return table if len(table) == rows else None
 
 
 def read_density_csv(path) -> tuple[Grid, np.ndarray]:
@@ -194,17 +214,16 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     the first bad line, whether it fails to parse or fails validation.
     Blank lines are skipped but still counted.
 
-    The file is parsed in blocks, and row by row only where that parse
-    refuses it; a grid or row failing its checks is named through
-    :func:`_checked` on the line the row reader would name.
+    The file is parsed by one ``np.loadtxt`` call on its path, which numpy
+    reads in chunks where it reads a file object line by line, and row by
+    row only where that parse refuses it; a grid or row failing its checks
+    is named through :func:`_checked` on the line the row reader would name.
     """
-    with open(path, "rb") as fh:
-        tables = list(_float_blocks(_line_blocks(fh), None))
-    if tables and tables[-1] is not None:
-        table = np.concatenate(tables)
-        grid = _checked(path, _grid_from_row, table[0])
-        return grid, _checked(path, check_density_rows, grid, table[1:], prefix="invalid ")
-    return _read_density_rows(path)
+    table = _bulk_table(path)
+    if table is None:
+        return _read_density_rows(path)
+    grid = _checked(path, _grid_from_row, table[0])
+    return grid, _checked(path, check_density_rows, grid, table[1:], prefix="invalid ")
 
 
 def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
@@ -263,40 +282,19 @@ def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:
     The first bad record raises :class:`CsvFormatError` with its physical
     line; blank lines are skipped but still counted.
 
-    An epoch file is parsed in blocks by ``np.loadtxt``, and row by row
-    only where that parse refuses it; an ISO file is read row by row.  A
-    sample failing the checks of :class:`RawSeries` is named through
-    :func:`_checked` on the line the row reader would name.
+    An epoch file is parsed by one ``np.loadtxt`` call on its path, which
+    numpy reads in chunks where it reads a file object line by line, and
+    row by row only where that parse refuses it; an ISO file is read row
+    by row.  A sample failing the checks of :class:`RawSeries` is named
+    through :func:`_checked` on the line the row reader would name.
     """
     if timestamp_format not in TIMESTAMP_FORMATS:
         raise StructuralError(f"timestamp_format must be iso|epoch, got {timestamp_format!r}")
     if timestamp_format == "epoch":
-        columns = _epoch_block_columns(path)
-        if columns is not None:
-            return _checked(path, RawSeries, *columns)
+        table = _bulk_table(path, header=True)
+        if table is not None and table.shape[1] == 2:  # its two columns, not copied
+            return _checked(path, RawSeries, *table.T)
     return _read_raw_rows(path, timestamp_format)
-
-
-def _epoch_block_columns(path) -> np.ndarray | None:
-    """Timestamps and values of an epoch raw series CSV by the block
-    parse, the two rows of one array allocated once from the file's line
-    count and filled block by block, or None where that parse refuses the
-    file."""
-    with open(path, "rb") as fh:
-        columns, filled = np.empty((2, _line_count(fh))), 0
-        blocks = _line_blocks(fh)
-        first = next(blocks, b"")
-        header = _HEADER_LINE.match(first)
-        if not _is_raw_header(header[1].decode("utf-8", "replace").split(",")):
-            return None
-        blocks = itertools.chain([first[header.end():]], blocks)
-        del first, header  # only the block being parsed is held
-        for table in _float_blocks(blocks, 2):
-            if table is None:
-                return None
-            columns[:, filled:filled + len(table)] = table.T
-            filled += len(table)
-    return columns[:, :filled] if filled else None
 
 
 def _read_raw_rows(path, timestamp_format: str) -> RawSeries:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import datetime as dt
+import gzip
 import io
 import json
 import tracemalloc
@@ -367,6 +368,36 @@ def test_detect_on_a_file_without_data_reports_only_the_error(tmp_path, capsys, 
     assert capsys.readouterr().err == "error: line 1: need a grid row\n"
 
 
+def test_gzip_density_csv_is_read_as_its_bytes(tmp_path, capsys):
+    # np.loadtxt given a "*.gz" path would gunzip it; every reader reads bytes
+    path = tmp_path / "d.csv.gz"
+    path.write_bytes(gzip.compress(_GOOD.encode(), mtime=0))
+    assert main(["detect", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1: invalid UTF-8 byte 0x8b\n"
+
+
+def test_plain_text_with_a_compressed_suffix_reads_as_plain(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(_GOOD)
+    expected = read_density_csv(plain)[1].tobytes()
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        path = tmp_path / f"plain.csv{suffix}"
+        path.write_text(_GOOD)
+        assert read_density_csv(path)[1].tobytes() == expected
+
+
+def test_url_shaped_path_is_a_local_file(tmp_path, monkeypatch, capsys):
+    # np.loadtxt given "http://..." would fetch it
+    monkeypatch.chdir(tmp_path)
+    url = "http://127.0.0.1:9/x.csv"
+    assert main(["detect", url]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{url}'\n"
+    local = tmp_path / "http:" / "127.0.0.1:9"
+    local.mkdir(parents=True)
+    (local / "x.csv").write_text(_GOOD)
+    assert read_density_csv(url)[1].shape == (3, 16)
+
+
 def test_raw_series_lines_counted_through_blank_lines(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("timestamp,value\n\n1,2\nx,3\n")
@@ -557,16 +588,16 @@ def test_records_split_across_blocks_parse_alike(tmp_path, monkeypatch, text, ki
 
 
 @pytest.mark.parametrize("kind", ["epoch", "density"])
-def test_loadtxt_never_holds_more_than_a_block_and_a_line(tmp_path, monkeypatch, kind):
+def test_bulk_parse_hands_loadtxt_the_path_once(tmp_path, monkeypatch, kind):
+    # numpy reads a path in chunks in C, a file object one line at a time
     text = _raw_file("epoch", days=1, per_day=80) if kind == "epoch" else _GOOD
     path = tmp_path / "f.csv"
     path.write_text(text)
-    longest = max(len(line) + 1 for line in text.splitlines())
-    loadtxt, sizes = np.loadtxt, []
+    loadtxt, calls = np.loadtxt, []
 
-    def recording_loadtxt(fh, *args, **kwargs):
-        sizes.append(len(fh.buffer.getvalue()))
-        return loadtxt(fh, *args, **kwargs)
+    def recording_loadtxt(fname, *args, **kwargs):
+        calls.append((fname, kwargs.get("max_rows")))
+        return loadtxt(fname, *args, **kwargs)
 
     monkeypatch.setattr(bio, "_RAW_BLOCK_BYTES", 100)
     monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
@@ -574,8 +605,31 @@ def test_loadtxt_never_holds_more_than_a_block_and_a_line(tmp_path, monkeypatch,
         read_raw_series_csv(path, "epoch")
     else:
         read_density_csv(path)
-    assert len(sizes) > 1
-    assert max(sizes) <= 100 + longest
+    records = text.count("\n") - (kind == "epoch")
+    assert len(calls) == 1
+    fname, max_rows = calls[0]
+    assert isinstance(fname, str) and max_rows == records
+
+
+def test_blank_lines_cost_the_bulk_parse_no_rows_and_no_warning(tmp_path, monkeypatch):
+    # numpy allocates all max_rows rows at once, and warns of a blank line
+    def row_reader(path):
+        raise AssertionError("the row reader ran on a well-formed file")
+
+    monkeypatch.setattr(bio, "_read_density_rows", row_reader)
+    path = tmp_path / "d.csv"
+    row = ",".join(_CELLS)
+    path.write_text(f"{_HEADER}\n{row}" + "\n" * 100_000 + f"{row}\n")
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = read_density_csv(path)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (2, 16) and caught == []
+    assert peak <= 8 * bio._RAW_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("text", [
@@ -634,7 +688,10 @@ def test_raw_parse_holds_the_series_once(tmp_path, timestamp_format, n):
     finally:
         tracemalloc.stop()
     assert series.timestamps.tolist() == t and series.values.tolist() == v
-    assert series.timestamps.flags.c_contiguous and series.values.flags.c_contiguous
+    if timestamp_format == "epoch":  # the two columns of one table
+        assert np.may_share_memory(series.timestamps, series.values)
+    else:
+        assert series.timestamps.flags.c_contiguous and series.values.flags.c_contiguous
     # a table per block beside the joined columns, or a float object per
     # sample, would exceed this
     assert peak <= 16 * n + 8 * bio._RAW_BLOCK_BYTES
