@@ -242,61 +242,6 @@ def _covariance_eigen_from_matrix(
     return CovarianceEigen(eigenvalues=clipped, truncation=truncation)
 
 
-def _simulate_chunk(
-    lambdas: tuple[np.ndarray, ...], count: int, bridge_nodes: int, chunk_seed: int
-) -> list[np.ndarray]:
-    """Limit samples for one chunk, one array per eigenvalue vector in ``lambdas``.
-
-    One walk of ``L_max`` bridges, the longest vector's length, is drawn,
-    pinned and squared ``block`` samples at a time; each vector of length
-    L weights the first L bridges.  ``standard_normal`` fills its output in
-    sample order, so the blocks consume the chunk's normals in the same
-    order as one (count, L_max, steps) draw would, and give bit-identical
-    samples in bounded memory.
-
-    Each sample keeps the node j of its largest S_j = sum_l u_l B_l(t_j)^2,
-    with u = lambda / max(lambda), and the squared bridges there; the
-    sample is max(lambda) (sqrt(S_j) + BRIDGE_SHIFT sigma_j sqrt(dt))^2 with
-    sigma_j^2 = sum_l u_l^2 B_l(t_j)^2 / S_j, and 0 where S_j = 0.  The
-    local sums run over l in order, so zero padding leaves them exact.
-    """
-    rng = np.random.default_rng(chunk_seed)
-    steps = bridge_nodes - 1
-    dt = 1.0 / steps
-    sqrt_dt = np.sqrt(dt)
-    t = np.arange(1, bridge_nodes) * dt
-    l_max = max(v.size for v in lambdas)
-    block = min(count, max(1, _MC_BLOCK // (l_max * steps)))
-    walk = np.empty((block, l_max, steps))
-    weighted = np.empty((block, steps))
-    scales = [float(v.max()) for v in lambdas]
-    units = [v / scale if scale > 0.0 else v for v, scale in zip(lambdas, scales)]
-    tops = [np.empty(count) for _ in lambdas]
-    at_top = [np.empty((count, v.size)) for v in lambdas]
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        w, s = walk[: stop - start], weighted[: stop - start]
-        rows = np.arange(stop - start)
-        rng.standard_normal(out=w)
-        w *= sqrt_dt
-        np.cumsum(w, axis=2, out=w)
-        w -= t * w[:, :, -1:]  # pin the walk into a bridge
-        np.square(w, out=w)
-        for u, top, sq in zip(units, tops, at_top):
-            np.einsum("l,klj->kj", u, w[:, : u.size], out=s)
-            j = s.argmax(axis=1)
-            top[start:stop] = s[rows, j]
-            sq[start:stop] = w[rows, : u.size, j]
-    outs = []
-    for u, scale, top, sq in zip(units, scales, tops, at_top):
-        local = u[0] * u[0] * sq[:, 0]
-        for l in range(1, u.size):
-            local += u[l] * u[l] * sq[:, l]
-        var = np.divide(local, top, out=np.zeros(count), where=top > 0.0)
-        outs.append(scale * (np.sqrt(top) + BRIDGE_SHIFT * np.sqrt(var) * sqrt_dt) ** 2)
-    return outs
-
-
 def _checked_eigenvalues(eigen: Sequence[float]) -> np.ndarray:
     """``eigen`` as a float64 array; raises unless nonempty, finite and non-negative."""
     lambdas = np.asarray(eigen, dtype=np.float64)
@@ -323,21 +268,70 @@ def _simulate_limit_samples(
     replicate share one draw this way: the arm with the larger L gets its
     own samples from :func:`simulate_limit_samples`, and the other arm the
     samples of its eigenvalues padded with zeros to that L.
+
+    Chunk c, the samples from c * _MC_CHUNK up to the next chunk, draws
+    from its own generator, seeded ``derive_seed(seed, c)``, and writes its
+    own rows of the outputs.  It walks L_max bridges, drawn, pinned and
+    squared ``block`` samples at a time; each vector of length L weights
+    the first L bridges.  ``standard_normal`` fills its output in sample
+    order, so the blocks consume a chunk's normals in the same order as one
+    (chunk, L_max, steps) draw would, and give bit-identical samples in
+    bounded memory.
+
+    Each sample keeps the node j of its largest S_j = sum_l u_l B_l(t_j)^2,
+    with u = lambda / max(lambda), and the chunk reduces the squared
+    bridges there to the local sum sum_l u_l^2 B_l(t_j)^2, so a chunk holds
+    L bridge values per sample and the call two values per sample.  The
+    local sums run over l in order, so zero padding leaves them exact.
+    Once all chunks are in, the continuity correction runs once: the sample
+    is max(lambda) (sqrt(S_j) + BRIDGE_SHIFT sigma_j sqrt(dt))^2 with
+    sigma_j^2 = sum_l u_l^2 B_l(t_j)^2 / S_j, and 0 where S_j = 0.
     """
     lambdas = tuple(_checked_eigenvalues(eigen) for eigen in eigens)
     check_settings(mc_samples=mc_samples, bridge_nodes=bridge_nodes)
+    steps = bridge_nodes - 1
+    dt = 1.0 / steps
+    sqrt_dt = np.sqrt(dt)
+    t = np.arange(1, bridge_nodes) * dt
+    l_max = max(v.size for v in lambdas)
+    block = min(mc_samples, _MC_CHUNK, max(1, _MC_BLOCK // (l_max * steps)))
+    scales = [float(v.max()) for v in lambdas]
+    units = [v / scale if scale > 0.0 else v for v, scale in zip(lambdas, scales)]
+    tops = [np.empty(mc_samples) for _ in lambdas]
+    local_sums = [np.empty(mc_samples) for _ in lambdas]
 
-    counts = [_MC_CHUNK] * (mc_samples // _MC_CHUNK)
-    if mc_samples % _MC_CHUNK:
-        counts.append(mc_samples % _MC_CHUNK)
+    def run(first: int) -> None:
+        rng = np.random.default_rng(derive_seed(seed, first // _MC_CHUNK))
+        walk = np.empty((block, l_max, steps))
+        weighted = np.empty((block, steps))
+        end = min(first + _MC_CHUNK, mc_samples)
+        at_top = [np.empty((end - first, u.size)) for u in units]
+        for start in range(first, end, block):
+            stop = min(start + block, end)
+            w, s = walk[: stop - start], weighted[: stop - start]
+            rows = np.arange(stop - start)
+            rng.standard_normal(out=w)
+            w *= sqrt_dt
+            np.cumsum(w, axis=2, out=w)
+            w -= t * w[:, :, -1:]  # pin the walk into a bridge
+            np.square(w, out=w)
+            for u, top, sq in zip(units, tops, at_top):
+                np.einsum("l,klj->kj", u, w[:, : u.size], out=s)
+                j = s.argmax(axis=1)
+                top[start:stop] = s[rows, j]
+                sq[start - first : stop - first] = w[rows, : u.size, j]
+        for u, sq, sums in zip(units, at_top, local_sums):
+            local = sums[first:end]
+            local[:] = u[0] * u[0] * sq[:, 0]
+            for l in range(1, u.size):
+                local += u[l] * u[l] * sq[:, l]
 
-    def run(chunk_index: int) -> list[np.ndarray]:
-        return _simulate_chunk(
-            lambdas, counts[chunk_index], bridge_nodes, derive_seed(seed, chunk_index)
-        )
-
-    chunks = parallel_map(run, range(len(counts)), threads)
-    return [np.concatenate(per_vector) for per_vector in zip(*chunks)]
+    parallel_map(run, range(0, mc_samples, _MC_CHUNK), threads)
+    outs = []
+    for scale, top, local in zip(scales, tops, local_sums):
+        var = np.divide(local, top, out=np.zeros(mc_samples), where=top > 0.0)
+        outs.append(scale * (np.sqrt(top) + BRIDGE_SHIFT * np.sqrt(var) * sqrt_dt) ** 2)
+    return outs
 
 
 def simulate_limit_samples(

@@ -21,7 +21,6 @@ import math
 import operator
 import os
 import re
-import warnings
 from array import array
 from pathlib import Path
 
@@ -90,14 +89,18 @@ def _line_end_count(data: bytes) -> int:
     return ends
 
 
-def _record_count(data: bytes) -> int:
-    """Non-blank lines of ``data``, a block of :func:`_line_blocks`: the
-    bytes that begin a line and end none (no line begins inside CR LF)."""
+def _line_counts(data: bytes) -> tuple[int, int]:
+    """Non-blank lines and lines of ``data``, a block of :func:`_line_blocks`:
+    the bytes that begin a line and end none (no line begins inside CR LF),
+    and the line ends, a CR LF once, plus an unfinished last line."""
     codes = np.frombuffer(data, dtype=np.uint8)
     ends = codes == ord("\n")
+    pairs = 0
     if b"\r" in data:
         ends |= codes == ord("\r")
-    return int(np.count_nonzero(ends[:-1] > ends[1:]) + (not ends[0]))
+        pairs = data.count(b"\r\n")
+    records = int(np.count_nonzero(ends[:-1] > ends[1:]) + (not ends[0]))
+    return records, int(np.count_nonzero(ends)) - pairs + (not ends[-1])
 
 
 def _text_lines(fh):
@@ -176,13 +179,15 @@ def _bulk_table(path, header: bool = False) -> np.ndarray | None:
     Python line at a time, so it is given the path; its opener would
     decompress a compressed suffix and fetch a URL, so those paths are
     refused.  A pre-pass over the bytes refuses a byte ``np.loadtxt``
-    strips and ``float`` refuses, and counts the records, so numpy
-    allocates the table once and blank lines cost it nothing.
+    strips and ``float`` refuses, and counts the records and the lines.
+    Without a blank line the record count goes to ``max_rows``, so numpy
+    allocates the table once; numpy warns of a blank line under
+    ``max_rows``, so a file with one is parsed without it.
     """
     path = os.fspath(path)
     if path.endswith(_COMPRESSED_SUFFIXES) or "://" in path:
         return None
-    skip, records = 0, 0
+    skip, records, lines = 0, 0, 0
     with open(path, "rb") as fh:
         for i, block in enumerate(_line_blocks(fh)):
             if any(c in block for c in _LOADTXT_ONLY_SPACE):
@@ -192,17 +197,17 @@ def _bulk_table(path, header: bool = False) -> np.ndarray | None:
                 if not _is_raw_header(match[1].decode("utf-8", "replace").split(",")):
                     return None
                 skip = _line_end_count(block[:match.end()])
-            records += _record_count(block)
+            block_records, block_lines = _line_counts(block)
+            records += block_records
+            lines += block_lines
     rows = records - header  # a header is a record
     if rows < 1:
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns of a blank line under max_rows
-        try:
-            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
-                               max_rows=rows, encoding="utf-8-sig")
-        except ValueError:
-            return None
+    try:
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                           max_rows=rows if lines == records else None, encoding="utf-8-sig")
+    except ValueError:
+        return None
     return table if len(table) == rows else None
 
 

@@ -108,8 +108,9 @@ def scalar_cusum_statistic(values) -> float:
 
 def reference_simulate_chunk(lambdas: np.ndarray, count: int, bridge_nodes: int,
                              chunk_seed: int) -> np.ndarray:
-    """Reference for ``engine._simulate_chunk``: one (count, L, steps) draw,
-    reduced whole, with the continuity-corrected maximum of each sample.
+    """Reference for one chunk of ``engine._simulate_limit_samples``, whose
+    generator is seeded ``chunk_seed``: one (count, L, steps) draw, reduced
+    whole, with the continuity-corrected maximum of each sample.
 
     On u = lambda / max(lambda), a sample is max(lambda) times
     (sqrt(S) + 0.5826 sigma sqrt(dt))^2 at the node of its largest

@@ -155,19 +155,30 @@ class TestDetectCommand:
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 84.0 TiB for an array")
 
-        monkeypatch.setattr(engine, "_simulate_chunk", out_of_memory)
+        monkeypatch.setattr(engine, "_simulate_limit_samples", out_of_memory)
         out = tmp_path / "r.json"
         assert main(["detect", str(sim_csv), "--mc-samples", "10", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: Unable to allocate 84.0 TiB for an array\n"
         assert not out.exists()
 
-    def test_error_without_a_message_names_its_type(self, tmp_path, capsys):
-        # The chunk list of this many samples cannot be built: its MemoryError,
-        # raised before anything is allocated, carries no message.
+    def test_error_without_a_message_names_its_type(self, tmp_path, capsys, monkeypatch):
+        # CPython raises a bare MemoryError when it cannot build an object
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(engine, "_simulate_limit_samples", out_of_memory)
+        out = tmp_path / "r.json"
+        assert main(["detect", str(_small_break_csv(tmp_path)), "--mc-samples", "10",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
+
+    def test_unallocatable_sample_count_exit_two_without_output(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["detect", str(_small_break_csv(tmp_path)), "--mc-samples",
                      "99999999999999999999", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: MemoryError\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_config_file_overridden_by_flags(self, sim_csv, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """CUSUM profile, covariance eigenstructure, Monte Carlo limit, detection."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -24,11 +27,11 @@ from bayes_cpd.engine import (
     _covariance_eigen_from_matrix,
     _method_matrix,
     _residual_matrix,
-    _simulate_chunk,
     _simulate_limit_samples,
     mean_increment,
 )
 from bayes_cpd.errors import DegenerateInputError, DomainError, NumericError, StructuralError
+from bayes_cpd.seeds import derive_seed
 from bayes_cpd.simlab import gen_model1, gen_sim1
 
 from helpers import (
@@ -322,9 +325,9 @@ class TestLimitSimulation:
         # 3-sample blocks: many blocks, and a 1-sample last block at both counts
         monkeypatch.setattr(engine, "_MC_BLOCK", 3 * L * (bridge_nodes - 1))
         lambdas = np.linspace(1.0, 0.05, L)
-        (got,) = _simulate_chunk((lambdas,), count, bridge_nodes, 1234 + L)
+        (got,) = _simulate_limit_samples((lambdas,), count, bridge_nodes, seed=1234 + L)
         assert np.array_equal(got, reference_simulate_chunk(lambdas, count, bridge_nodes,
-                                                            1234 + L))
+                                                            derive_seed(1234 + L, 0)))
 
     @pytest.mark.parametrize("L", [3, 299])
     def test_chunk_draws_stay_within_one_block(self, monkeypatch, L):
@@ -342,12 +345,36 @@ class TestLimitSimulation:
         monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
         lambdas, count, bridge_nodes = np.linspace(1.0, 0.01, L), 5, 1001
         per_sample = L * (bridge_nodes - 1)
-        (got,) = _simulate_chunk((lambdas,), count, bridge_nodes, 7)
+        (got,) = _simulate_limit_samples((lambdas,), count, bridge_nodes, seed=7)
         monkeypatch.undo()
         sizes = [int(np.prod(shape)) for shape in drawn]
         assert max(sizes) <= max(engine._MC_BLOCK, per_sample)
         assert sum(sizes) == count * per_sample
-        assert np.array_equal(got, reference_simulate_chunk(lambdas, count, bridge_nodes, 7))
+        assert np.array_equal(got, reference_simulate_chunk(lambdas, count, bridge_nodes,
+                                                            derive_seed(7, 0)))
+
+    def test_memory_holds_no_bridge_value_per_sample_of_the_call(self):
+        # the outputs and their temporaries, a few blocks, and one chunk's
+        # L squared bridges per sample; not M * L bridge values (8 MB here)
+        lambdas, mc_samples = np.linspace(1.0, 0.01, 100), 10_000
+        tracemalloc.start()
+        try:
+            simulate_limit_samples(lambdas, mc_samples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (16 * mc_samples + 4 * engine._MC_BLOCK + 256 * lambdas.size)
+
+    @pytest.mark.parametrize("threads", [0, 1, 2])
+    def test_chunks_of_256_each_draw_from_their_own_seed(self, threads):
+        # at L = 12 a block holds 170 samples: each chunk takes two blocks
+        lambdas, seed = np.linspace(1.0, 0.05, 12), 41
+        assert engine._MC_BLOCK // (lambdas.size * (DEFAULT_BRIDGE_NODES - 1)) < 256
+        got = simulate_limit_samples(lambdas, 700, seed=seed, threads=threads)
+        expected = np.concatenate([
+            reference_simulate_chunk(lambdas, count, DEFAULT_BRIDGE_NODES, derive_seed(seed, c))
+            for c, count in enumerate([256, 256, 188])])
+        assert np.array_equal(got, expected)
 
     def test_empty_eigenvalues_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -377,6 +404,19 @@ class TestSharedDraw:
                               simulate_limit_samples(larger, mc_samples, bridge_nodes, seed=21))
         assert np.array_equal(got_smaller,
                               simulate_limit_samples(padded, mc_samples, bridge_nodes, seed=21))
+
+    def test_chunks_written_from_more_threads_than_cores_lose_no_row(self):
+        # every chunk writes its own rows of the shared outputs
+        eigens, mc_samples = ([0.6, 0.3, 0.1], [0.9, 0.05]), 24 * 256 + 7
+        one = _simulate_limit_samples(eigens, mc_samples, seed=13, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = _simulate_limit_samples(eigens, mc_samples, seed=13, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(one, many):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("bad, error", [([], DegenerateInputError),

@@ -632,6 +632,24 @@ def test_blank_lines_cost_the_bulk_parse_no_rows_and_no_warning(tmp_path, monkey
     assert peak <= 8 * bio._RAW_BLOCK_BYTES
 
 
+def test_bulk_parse_shows_a_shown_warning_no_second_time(tmp_path):
+    # entering or leaving warnings.catch_warnings clears every module's record
+    # of the warnings it has shown once
+    path = tmp_path / "d.csv"
+    path.write_text(_GOOD)
+
+    def warn():
+        warnings.warn("shown once", UserWarning)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        warn()
+        read_density_csv(path)
+        read_density_csv(path)
+        warn()
+    assert [str(w.message) for w in caught] == ["shown once"]
+
+
 @pytest.mark.parametrize("text", [
     _raw_file("epoch"), _raw_file("epoch").replace("\n", "\r\n"), "\ufeff" + _raw_file("epoch"),
 ], ids=["lf", "crlf", "bom"])
