@@ -25,7 +25,6 @@ from .engine import (
     DEFAULT_THETA,
     METHOD_BAYES,
     METHODS,
-    DistributionalSequence,
     cusum_profile,
     detect,
 )
@@ -152,10 +151,6 @@ def _check_outputs(*paths: str | None) -> None:
         seen.add(resolved)
 
 
-def _read_sequence(path: str) -> DistributionalSequence:
-    return DistributionalSequence(*bio.read_density_csv(path))
-
-
 def _cmd_detect(args: argparse.Namespace) -> int:
     if args.clean and args.method != METHOD_BAYES:
         raise StructuralError("--clean is only available with the bayes-clr method")
@@ -164,7 +159,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.increment_csv is not None and args.method != METHOD_BAYES:
         raise StructuralError("--increment-csv is only available with the bayes-clr method")
     _check_outputs(args.out, args.profile_csv, args.increment_csv, args.cleaning_report)
-    seq = _read_sequence(args.density_csv)
+    seq = bio.read_density_csv(args.density_csv)
     detect_kwargs = dict(
         alpha=args.alpha, mc_samples=args.mc_samples, theta=args.theta,
         seed=args.seed, method=args.method, bridge_nodes=args.bridge_nodes,
@@ -244,7 +239,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     if args.out is None:
         raise StructuralError("clean needs --out")
     _check_outputs(args.out, args.report)
-    seq = _read_sequence(args.density_csv)
+    seq = bio.read_density_csv(args.density_csv)
     report = clean(seq, args.whisker)
     bio.write_density_csv(args.out, seq.grid,
                           seq.subsequence(report.kept_indices).values)

@@ -20,7 +20,6 @@ import json
 import math
 import operator
 import os
-import re
 from array import array
 from pathlib import Path
 
@@ -28,12 +27,12 @@ import numpy as np
 
 from .cleaning import DEFAULT_WHISKER, OUTLIER_DETECTOR, CleaningReport, tukey_fences
 from .density import Grid, check_density_rows
-from .engine import CusumProfile, DetectionResult
+from .engine import CusumProfile, DetectionResult, DistributionalSequence
 from .errors import BayesCpdError, CsvFormatError, StructuralError
 from .ingestion import IngestionReport, RawSeries
 from .simlab import ExperimentReport
 
-_GRID_REL_TOL = 1e-9
+_GRID_ABS_TOL = 1e-9
 #: ASCII separators that ``np.loadtxt`` strips as cell padding and ``float`` refuses.
 _LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 #: Bytes of a CSV file read at once by a pre-pass or the row reader.
@@ -80,27 +79,20 @@ def _checked(path, check, *args, prefix: str = ""):
         raise CsvFormatError(_record_line(path, exc.record), prefix + str(exc)) from None
 
 
-def _line_end_count(data: bytes) -> int:
-    """Line ends in ``data``, which no CR LF straddles: LF, CR LF and a
-    lone CR each count once, as ``csv`` and ``np.loadtxt`` count lines."""
-    ends = int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
-    if b"\r" in data:
-        ends += data.count(b"\r") - data.count(b"\r\n")
-    return ends
-
-
 def _line_counts(data: bytes) -> tuple[int, int]:
-    """Non-blank lines and lines of ``data``, a block of :func:`_line_blocks`:
+    """Non-blank lines and line ends of ``data``, which no CR LF straddles:
     the bytes that begin a line and end none (no line begins inside CR LF),
-    and the line ends, a CR LF once, plus an unfinished last line."""
+    and the line ends, LF, CR LF and a lone CR each once, as ``csv`` and
+    ``np.loadtxt`` count lines."""
     codes = np.frombuffer(data, dtype=np.uint8)
     ends = codes == ord("\n")
     pairs = 0
     if b"\r" in data:
         ends |= codes == ord("\r")
         pairs = data.count(b"\r\n")
-    records = int(np.count_nonzero(ends[:-1] > ends[1:]) + (not ends[0]))
-    return records, int(np.count_nonzero(ends)) - pairs + (not ends[-1])
+    # a line also begins at byte 0, unless that byte ends one or is absent
+    records = int(np.count_nonzero(ends[:-1] > ends[1:])) + (not ends[:1].all())
+    return records, int(np.count_nonzero(ends)) - pairs
 
 
 def _text_lines(fh):
@@ -118,12 +110,12 @@ def _text_lines(fh):
             text = block.decode("utf-8")
         except UnicodeDecodeError as exc:
             head = block[:exc.start]
-            ends = _line_end_count(head)
+            ends = _line_counts(head)[1]
             yield from itertools.islice(io.StringIO(head.decode("utf-8"), newline=""), ends)
             raise CsvFormatError(line + ends,
                                  f"invalid UTF-8 byte 0x{block[exc.start]:02x}") from None
         yield from io.StringIO(text, newline="")
-        line += _line_end_count(block)
+        line += _line_counts(block)[1]
 
 
 def _numbered_rows(fh):
@@ -139,7 +131,7 @@ def _grid_from_row(nodes: np.ndarray) -> Grid:
     if nodes.size < 16:
         raise StructuralError(f"grid needs >= 16 nodes, got {nodes.size}", record=0)
     grid = Grid(nodes.size)
-    if not np.allclose(nodes, grid.nodes, rtol=0.0, atol=_GRID_REL_TOL):
+    if not np.allclose(nodes, grid.nodes, rtol=0.0, atol=_GRID_ABS_TOL):
         raise StructuralError("grid row is not a uniform partition of [0, 1]", record=0)
     return grid
 
@@ -175,6 +167,9 @@ def _bulk_table(path, header: bool = False) -> np.ndarray | None:
     refuses the file, finds no data or could read it otherwise than the
     row reader.
 
+    The row reader finds the header, so numpy skips the lines up to the
+    one it ends on, and a header it cannot read raises its own error.
+
     ``np.loadtxt`` reads a path in chunks in C, but a file object one
     Python line at a time, so it is given the path; its opener would
     decompress a compressed suffix and fetch a URL, so those paths are
@@ -189,17 +184,18 @@ def _bulk_table(path, header: bool = False) -> np.ndarray | None:
         return None
     skip, records, lines = 0, 0, 0
     with open(path, "rb") as fh:
-        for i, block in enumerate(_line_blocks(fh)):
+        if header:
+            skip, cells = next(_numbered_rows(fh), (0, []))
+            # a quoted line end in a cell puts the header on lines the record count takes for rows
+            if not _is_raw_header(cells) or any("\n" in c or "\r" in c for c in cells):
+                return None
+            fh.seek(0)
+        for block in _line_blocks(fh):
             if any(c in block for c in _LOADTXT_ONLY_SPACE):
                 return None
-            if header and i == 0:  # a first block holds a whole first line
-                match = _HEADER_LINE.match(block)
-                if not _is_raw_header(match[1].decode("utf-8", "replace").split(",")):
-                    return None
-                skip = _line_end_count(block[:match.end()])
-            block_records, block_lines = _line_counts(block)
+            block_records, block_ends = _line_counts(block)
             records += block_records
-            lines += block_lines
+            lines += block_ends + (not block.endswith((b"\n", b"\r")))  # an unfinished last line
     rows = records - header  # a header is a record
     if rows < 1:
         return None
@@ -211,12 +207,12 @@ def _bulk_table(path, header: bool = False) -> np.ndarray | None:
     return table if len(table) == rows else None
 
 
-def read_density_csv(path) -> tuple[Grid, np.ndarray]:
-    """Parse a density CSV into its grid and read-only (n, m) value matrix;
-    a file holding only its grid row gives n = 0.
+def read_density_csv(path) -> DistributionalSequence:
+    """Parse a density CSV into the sequence of its grid and density rows.
 
     Every problem raises :class:`CsvFormatError` with the line number of
-    the first bad line, whether it fails to parse or fails validation.
+    the first bad line, whether it fails to parse or fails validation;
+    a file with fewer than 4 densities raises :class:`DegenerateInputError`.
     Blank lines are skipped but still counted.
 
     The file is parsed by one ``np.loadtxt`` call on its path, which numpy
@@ -228,10 +224,10 @@ def read_density_csv(path) -> tuple[Grid, np.ndarray]:
     if table is None:
         return _read_density_rows(path)
     grid = _checked(path, _grid_from_row, table[0])
-    return grid, _checked(path, check_density_rows, grid, table[1:], prefix="invalid ")
+    return _checked(path, DistributionalSequence, grid, table[1:], prefix="invalid ")
 
 
-def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
+def _read_density_rows(path) -> DistributionalSequence:
     """The row-by-row reader behind :func:`read_density_csv`."""
     parsed = []
     with open(path, "rb") as fh:
@@ -253,7 +249,7 @@ def _read_density_rows(path) -> tuple[Grid, np.ndarray]:
                 _checked(path, check_density_rows, grid, np.vstack(parsed), prefix="invalid ")
             raise
     matrix = np.reshape(parsed, (-1, grid.node_count))
-    return grid, _checked(path, check_density_rows, grid, matrix, prefix="invalid ")
+    return _checked(path, DistributionalSequence, grid, matrix, prefix="invalid ")
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +270,6 @@ def _parse_timestamp(cell: str, timestamp_format: str, line: int) -> float:
 
 def _is_raw_header(cells: list[str]) -> bool:
     return [c.strip().lower() for c in cells] == ["timestamp", "value"]
-
-
-#: The first non-blank line of a raw series CSV and its line end.
-_HEADER_LINE = re.compile(rb"[\r\n]*([^\r\n]*)(?:\r\n?|\n)?")
 
 
 def read_raw_series_csv(path, timestamp_format: str = "iso") -> RawSeries:

@@ -10,7 +10,6 @@ bit-identical at any thread count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
@@ -47,5 +46,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list
             threads = os.cpu_count() or 1
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # a one-thread call never imports it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

@@ -225,9 +225,9 @@ def test_density_csv_round_trip_is_exact(tmp_path):
                         for a in (3.0, 5.0, 9.0, 11.0)])
     path = tmp_path / "d.csv"
     write_density_csv(path, grid, values)
-    grid2, back = read_density_csv(path)
-    assert grid2 == grid
-    np.testing.assert_array_equal(back, values)
+    seq = read_density_csv(path)
+    assert seq.grid == grid
+    np.testing.assert_array_equal(seq.values, values)
 
 
 def test_non_uniform_grid_rejected(tmp_path):
@@ -280,6 +280,9 @@ _MID = _CELLS[8]  # an ordinary "d.ddd..." cell
 
 
 def _density_file(*rows: list[str], end: str = "\n") -> str:
+    """The grid row, ``rows``, then ``_CELLS`` rows up to the 4 densities a
+    sequence needs."""
+    rows = [*rows, *[_CELLS] * (4 - len(rows))]
     return end.join([_HEADER, *(",".join(r) for r in rows)]) + end
 
 
@@ -290,7 +293,7 @@ def _with_cell(cell: str) -> list[str]:
 _GOOD = _density_file(_CELLS, _CELLS, _CELLS)
 _BLANK_THEN_BAD_GRID = "\n".join([  # node 1 is 1/15 on a uniform grid
     "", ",".join(["0.0", "0.1", *_HEADER.split(",")[2:]]), ",".join(_CELLS)]) + "\n"
-_INSERTED = "\n".join([_HEADER, ",".join(_CELLS), "{}", ",".join(_CELLS)]) + "\n"
+_INSERTED = "\n".join([_HEADER, ",".join(_CELLS), "{}", *[",".join(_CELLS)] * 3]) + "\n"
 
 # (file text, None for a valid file or the row reader's error)
 _DIFFERENTIAL_CASES = {
@@ -316,7 +319,7 @@ _DIFFERENTIAL_CASES = {
                                    "line 2: expected 16 values, got 15"),
     "non-finite": (_density_file(_CELLS, _with_cell("nan")),
                    "line 3: invalid density row 2: non-finite"),
-    "grid-only": (_HEADER + "\n", None),
+    "grid-only": (_HEADER + "\n", "sequence needs at least 4 densities, got 0"),
     "empty": ("", "line 1: need a grid row"),
     "blank-only": ("\n\r\n\n", "line 1: need a grid row"),
     "blank-line-then-bad-grid": (_BLANK_THEN_BAD_GRID,
@@ -332,10 +335,10 @@ def test_bulk_density_parse_agrees_with_row_reader(tmp_path, text, problem):
     outcomes = []
     for read in (read_density_csv, _read_density_rows):
         try:
-            grid, values = read(path)
-            outcomes.append((grid.node_count, values.shape, values.tobytes()))
-        except CsvFormatError as exc:
-            outcomes.append((exc.line, str(exc)))
+            seq = read(path)
+            outcomes.append((seq.grid.node_count, seq.values.shape, seq.values.tobytes()))
+        except (CsvFormatError, DegenerateInputError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
     assert outcomes[0] == outcomes[1]
     if problem is None:
         assert outcomes[0][0] == 16
@@ -344,7 +347,7 @@ def test_bulk_density_parse_agrees_with_row_reader(tmp_path, text, problem):
 
 
 @pytest.mark.parametrize("text, rows", [
-    (_GOOD, 3), (_density_file(_CELLS, end="\r\n"), 1), (_HEADER + "\n", 0), ("\ufeff" + _GOOD, 3),
+    (_GOOD, 4), (_density_file(_CELLS, end="\r\n"), 4), (_HEADER + "\n", 0), ("\ufeff" + _GOOD, 4),
 ], ids=["lf", "crlf", "grid-only", "bom"])
 def test_well_formed_density_csv_is_read_in_one_pass(tmp_path, monkeypatch, text, rows):
     def row_reader(path):
@@ -353,8 +356,12 @@ def test_well_formed_density_csv_is_read_in_one_pass(tmp_path, monkeypatch, text
     monkeypatch.setattr(bio, "_read_density_rows", row_reader)
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
-    grid, values = read_density_csv(path)
-    assert grid == _GRID16 and values.shape == (rows, 16)
+    if rows < 4:  # parsed, then refused as a sequence
+        with pytest.raises(DegenerateInputError, match=f"got {rows}$"):
+            read_density_csv(path)
+    else:
+        seq = read_density_csv(path)
+        assert seq.grid == _GRID16 and seq.values.shape == (rows, 16)
 
 
 @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-only"])
@@ -379,11 +386,11 @@ def test_gzip_density_csv_is_read_as_its_bytes(tmp_path, capsys):
 def test_plain_text_with_a_compressed_suffix_reads_as_plain(tmp_path):
     plain = tmp_path / "plain.csv"
     plain.write_text(_GOOD)
-    expected = read_density_csv(plain)[1].tobytes()
+    expected = read_density_csv(plain).values.tobytes()
     for suffix in (".gz", ".bz2", ".xz", ".lzma"):
         path = tmp_path / f"plain.csv{suffix}"
         path.write_text(_GOOD)
-        assert read_density_csv(path)[1].tobytes() == expected
+        assert read_density_csv(path).values.tobytes() == expected
 
 
 def test_url_shaped_path_is_a_local_file(tmp_path, monkeypatch, capsys):
@@ -395,7 +402,7 @@ def test_url_shaped_path_is_a_local_file(tmp_path, monkeypatch, capsys):
     local = tmp_path / "http:" / "127.0.0.1:9"
     local.mkdir(parents=True)
     (local / "x.csv").write_text(_GOOD)
-    assert read_density_csv(url)[1].shape == (3, 16)
+    assert read_density_csv(url).values.shape == (4, 16)
 
 
 def test_raw_series_lines_counted_through_blank_lines(tmp_path):
@@ -448,9 +455,9 @@ def test_density_csv_with_a_bom_reads_as_without(tmp_path):
     plain.write_text(_GOOD, encoding="utf-8")
     bom.write_text(_GOOD, encoding="utf-8-sig")
     assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
-    (grid, values), (grid2, values2) = read_density_csv(plain), read_density_csv(bom)
-    assert grid2 == grid
-    np.testing.assert_array_equal(values2, values)
+    seq, seq2 = read_density_csv(plain), read_density_csv(bom)
+    assert seq2.grid == seq.grid
+    np.testing.assert_array_equal(seq2.values, seq.values)
 
 
 def _raw_file(timestamp_format: str, days: int = 8, per_day: int = 80) -> str:
@@ -532,6 +539,12 @@ _RAW_DIFFERENTIAL_CASES = {
     "header-variant": (" Timestamp , VALUE\r\n1,2\r\n", None),
     "wrong-header": ("time,value\n1,2\n", 'line 1: expected header'),
     "bom": ("\ufeff" + _epoch("1,2", "2,3"), None),
+    "fully-quoted-header": ('"timestamp","value"\n1,2\n2,3\n', None),
+    "blank-lines-then-quoted-header": ('\n\r\n\r"timestamp","value"\r\n1,2\r\n', None),
+    "invalid-utf8-line-3-first-block": ('"timestamp","value"\n1,2\n2,3\udcff\n4,5\n',
+                                        "line 3: invalid UTF-8 byte 0xff"),
+    "header-over-two-lines": ('"timestamp\n",value\n', "line 3: empty series"),
+    "header-over-two-lines-then-data": ('\r\ntimestamp,"value\r"\r\n1,2\r\n', None),
 }
 
 
@@ -540,12 +553,22 @@ _RAW_DIFFERENTIAL_CASES = {
 def test_bulk_raw_parse_agrees_with_row_reader(tmp_path, text, problem):
     path = tmp_path / "raw.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    outcomes = [_raw_outcome(read, path) for read in (read_raw_series_csv, _read_raw_rows)]
-    assert outcomes[0] == outcomes[1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes = [_raw_outcome(read, path) for read in (read_raw_series_csv, _read_raw_rows)]
+    assert outcomes[0] == outcomes[1] and caught == []
     if problem is None:
         assert isinstance(outcomes[0][0], bytes)
     else:
         assert outcomes[0][2].startswith(problem)
+
+
+@pytest.mark.parametrize("data, counts", [
+    (b"", (0, 0)), (b"a", (1, 0)), (b"\n", (0, 1)), (b"a\r\nb", (2, 1)),
+    (b"\r\r\n\na\n b\r", (2, 5)),
+], ids=["empty", "unfinished", "blank", "crlf-then-unfinished", "mixed-ends"])
+def test_line_counts_count_records_and_line_ends(data, counts):
+    assert bio._line_counts(data) == counts
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -570,7 +593,7 @@ def test_records_split_across_blocks_parse_alike(tmp_path, monkeypatch, text, ki
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode())
     if kind == "density":
-        read = lambda: read_density_csv(path)[1].tobytes()
+        read = lambda: read_density_csv(path).values.tobytes()
     else:
         def read():
             series = read_raw_series_csv(path, "epoch")
@@ -619,16 +642,16 @@ def test_blank_lines_cost_the_bulk_parse_no_rows_and_no_warning(tmp_path, monkey
     monkeypatch.setattr(bio, "_read_density_rows", row_reader)
     path = tmp_path / "d.csv"
     row = ",".join(_CELLS)
-    path.write_text(f"{_HEADER}\n{row}" + "\n" * 100_000 + f"{row}\n")
+    path.write_text(f"{_HEADER}\n{row}" + "\n" * 100_000 + f"{row}\n" * 3)
     tracemalloc.start()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            values = read_density_csv(path)[1]
+            values = read_density_csv(path).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values.shape == (2, 16) and caught == []
+    assert values.shape == (4, 16) and caught == []
     assert peak <= 8 * bio._RAW_BLOCK_BYTES
 
 
@@ -652,7 +675,8 @@ def test_bulk_parse_shows_a_shown_warning_no_second_time(tmp_path):
 
 @pytest.mark.parametrize("text", [
     _raw_file("epoch"), _raw_file("epoch").replace("\n", "\r\n"), "\ufeff" + _raw_file("epoch"),
-], ids=["lf", "crlf", "bom"])
+    _raw_file("epoch").replace("timestamp,value", '"timestamp","value"', 1),
+], ids=["lf", "crlf", "bom", "quoted-header"])
 def test_well_formed_epoch_csv_is_read_in_blocks(tmp_path, monkeypatch, text):
     def row_reader(*args):
         raise AssertionError("the row reader ran on a well-formed file")
