@@ -92,8 +92,12 @@ def clean(seq: DistributionalSequence, whisker: float = DEFAULT_WHISKER) -> Clea
     """Partition 1..n into the densities flagged as outliers and the rest.
 
     Raises :class:`DegenerateInputError` when fewer than 4 densities
-    would remain, since nothing can be detected on the remainder.
+    would remain, since nothing can be detected on the remainder, and
+    :class:`StructuralError` for an infinite whisker, which the report
+    could not record: strict JSON has no infinity.
     """
+    if np.isinf(whisker):
+        raise StructuralError(f"whisker must be finite for a cleaning report, got {whisker}")
     removed = detect_distributional_outliers(seq, whisker)
     flagged = set(removed)
     kept = tuple(i for i in range(1, seq.n + 1) if i not in flagged)

@@ -214,18 +214,20 @@ def clr(f: DensityFunction) -> ClrFunction:
 
 
 def clr_inv(u: ClrFunction) -> DensityFunction:
-    """Inverse clr: exp(u) renormalized to a unit-integral density."""
-    with np.errstate(over="ignore"):
-        e = np.exp(u.values)
-    if not np.all(np.isfinite(e)):
-        raise NumericError("overflow in exp during inverse clr")
-    return _normalized_density(u.grid, e)
+    """Inverse clr: exp(u) renormalized to a unit-integral density.
+
+    ``u`` is shifted down by max(u) - 700 before ``exp`` when max(u)
+    exceeds 700, which gives the same density and keeps ``exp`` finite;
+    below that the shift is exactly 0.
+    """
+    return _normalized_density(u.grid, np.exp(u.values - max(0.0, u.values.max() - 700.0)))
 
 
 def clr_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
     """clr of every row of an (n, m) density matrix, as a read-only matrix."""
     if values.min() <= 0.0:
-        raise DomainError("clr needs strictly positive values; apply zero_avoid first")
+        i = int(np.argmax((values <= 0.0).any(axis=1))) + 1
+        raise DomainError(f"density row {i}: clr needs strictly positive values", record=i)
     log_values = np.log(values)
     out = log_values - (log_values @ grid.weights)[:, None]
     out.flags.writeable = False

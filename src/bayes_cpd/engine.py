@@ -383,21 +383,15 @@ def mean_increment(seq: DistributionalSequence, k_hat: int) -> DensityFunction:
     return clr_inv(ClrFunction(seq.grid, diff - float(seq.grid.weights @ diff)))
 
 
-@dataclass(frozen=True)
-class _Statistic:
-    """What :func:`detect` knows before its Monte Carlo: the method tested,
-    the CUSUM profile and the retained eigenvalues, which are empty for a
-    degenerate input."""
+def _detect_statistic(
+    seq: DistributionalSequence, theta: float, method: str, alpha: float, mc_samples: int,
+    seed: int,
+) -> DetectionResult:
+    """Stage 1 of :func:`detect`: profile, break estimate and retained
+    spectrum, as the result that holds before any draw (p = 1, no
+    rejection), which is final when nothing is retained.
 
-    method: str
-    profile: CusumProfile
-    eigenvalues: tuple[float, ...]
-
-
-def _detect_statistic(seq: DistributionalSequence, theta: float, method: str) -> _Statistic:
-    """Stage 1 of :func:`detect`: profile, break estimate and retained spectrum.
-
-    Nothing here depends on the Monte Carlo seed.  Retained eigenvalues
+    Nothing here draws; ``seed`` is only recorded.  Retained eigenvalues
     are checked as :func:`simulate_limit_samples` checks them, so a bad
     spectrum fails here, before any draw.
     """
@@ -410,30 +404,27 @@ def _detect_statistic(seq: DistributionalSequence, theta: float, method: str) ->
         eigenvalues = tuple(float(v) for v in eigen.retained())
         if eigenvalues:
             _checked_eigenvalues(eigenvalues)
-    return _Statistic(method, profile, eigenvalues)
-
-
-def _detect_result(
-    stat: _Statistic, samples: np.ndarray | None, alpha: float, mc_samples: int, seed: int
-) -> DetectionResult:
-    """Stage 2 of :func:`detect`: the p-value from the limit ``samples``
-    (None when nothing was retained, which gives p = 1) and the result,
-    without the mean increment, which only :func:`detect` adds."""
-    p = 1.0 if samples is None else p_value(stat.profile.statistic, samples)
     return DetectionResult(
-        k_hat=stat.profile.argmax_k,
-        statistic=stat.profile.statistic,
-        p_value=p,
+        k_hat=profile.argmax_k,
+        statistic=profile.statistic,
+        p_value=1.0,
         alpha=alpha,
-        reject_null=p < alpha,
-        L=len(stat.eigenvalues),
-        eigenvalues=stat.eigenvalues,
+        reject_null=False,
+        L=len(eigenvalues),
+        eigenvalues=eigenvalues,
         mc_samples=mc_samples,
         seed=seed,
         centering=CENTERING,
-        degenerate=not stat.eigenvalues,
-        method=stat.method,
+        degenerate=not eigenvalues,
+        method=method,
     )
+
+
+def _with_p_value(result: DetectionResult, samples: np.ndarray) -> DetectionResult:
+    """Stage 2 of :func:`detect`: ``result`` with the p-value of its
+    statistic among the limit ``samples``, and the decision it gives."""
+    p = p_value(result.statistic, samples)
+    return dc_replace(result, p_value=p, reject_null=p < result.alpha)
 
 
 def detect(
@@ -456,13 +447,11 @@ def detect(
     carries the estimated mean increment.
     """
     check_settings(alpha, mc_samples, theta, bridge_nodes, method)
-    stat = _detect_statistic(seq, theta, method)
-    samples = None
-    if stat.eigenvalues:
-        samples = simulate_limit_samples(
-            stat.eigenvalues, mc_samples, bridge_nodes=bridge_nodes, seed=seed, threads=threads
-        )
-    result = _detect_result(stat, samples, alpha, mc_samples, seed)
+    result = _detect_statistic(seq, theta, method, alpha, mc_samples, seed)
+    if result.L:
+        result = _with_p_value(result, simulate_limit_samples(
+            result.eigenvalues, mc_samples, bridge_nodes=bridge_nodes, seed=seed, threads=threads
+        ))
     if result.reject_null and method == METHOD_BAYES and result.k_hat < seq.n:
         result = dc_replace(result, increment=mean_increment(seq, result.k_hat))
     return result

@@ -37,9 +37,9 @@ from .engine import (
     METHOD_L2,
     DistributionalSequence,
     check_settings,
-    _detect_result,
     _detect_statistic,
     _simulate_limit_samples,
+    _with_p_value,
 )
 from .errors import BayesCpdError, StructuralError
 from .seeds import derive_seed, parallel_map
@@ -330,19 +330,20 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
     seq, truth = replicate_sequence(config.generator, config.n, config.k_star,
                                     config.contamination_count, rep_seed, grid)
     methods = (METHOD_BAYES, METHOD_L2) if config.compare_l2 else (METHOD_BAYES,)
-    staged = []  # per arm: its method, cleaning report, and statistic or error
+    staged = []  # per arm: its method, cleaning report, and pre-draw result or error
     for method in methods:
         report = None
         try:
             if config.clean and method == METHOD_BAYES:
                 report = clean(seq)
             arm_seq = seq if report is None else seq.subsequence(report.kept_indices)
-            stat = _detect_statistic(arm_seq, config.theta, method)
+            stat = _detect_statistic(arm_seq, config.theta, method, config.alpha,
+                                     config.mc_samples, mc_seed)
         except BayesCpdError as exc:
             stat = exc
         staged.append((method, report, stat))
     eigens = [stat.eigenvalues for _, _, stat in staged
-              if not isinstance(stat, BayesCpdError) and stat.eigenvalues]
+              if not isinstance(stat, BayesCpdError) and stat.L]
     draws = iter(_simulate_limit_samples(eigens, config.mc_samples,
                                          bridge_nodes=config.bridge_nodes, seed=mc_seed)
                  if eigens else ())
@@ -351,8 +352,7 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
         try:
             if isinstance(stat, BayesCpdError):
                 raise stat
-            samples = next(draws) if stat.eigenvalues else None
-            result = _detect_result(stat, samples, config.alpha, config.mc_samples, mc_seed)
+            result = _with_p_value(stat, next(draws)) if stat.L else stat
         except BayesCpdError as exc:  # recorded, not fatal
             prefix = f"{method}: " if config.compare_l2 else ""
             records.append(ReplicateRecord(replicate=r, method="error",

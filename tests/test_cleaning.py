@@ -209,6 +209,12 @@ class TestCleanAndDetect:
         assert whiskers == [2.5]
         assert clean(seq).whisker == 1.5
 
+    def test_infinite_whisker_refused_before_flagging(self, grid, flag_fixed):
+        whiskers = flag_fixed(())
+        with pytest.raises(StructuralError, match="finite"):
+            clean(two_segment_sequence(grid, 4, 4), np.inf)
+        assert whiskers == []
+
     def test_over_aggressive_cleaning_rejected(self, grid, flag_fixed):
         seq = two_segment_sequence(grid, 3, 3)
         flag_fixed((1, 2, 3))

@@ -13,6 +13,7 @@ import pytest
 
 from bayes_cpd import engine, simlab
 from bayes_cpd.cli import main
+from bayes_cpd.density import check_density_rows
 from bayes_cpd.errors import DegenerateInputError
 from bayes_cpd.io import write_density_csv, write_raw_series_csv
 from bayes_cpd.seeds import derive_seed
@@ -118,6 +119,42 @@ class TestDetectCommand:
         payload = json.loads(res.read_text())
         assert payload["increment_csv_path"] == str(inc)
         assert inc.exists()
+
+    def test_rejection_with_clr_increment_beyond_exp_range_exit_zero(self, tmp_path):
+        # the clr mean difference peaks near 733 at node 1, beyond np.exp's range
+        grid = Grid(64)
+        rows = np.ones((40, 64))
+        rows[:20, 1] = 5e-324
+        path = tmp_path / "dip.csv"
+        write_density_csv(path, grid, rows / (rows @ grid.weights)[:, None])
+        args = ["detect", str(path), "--mc-samples", "200", "--out", str(tmp_path / "r.json")]
+        assert main(args) == 0
+        inc = tmp_path / "i.csv"
+        assert main([*args, "--increment-csv", str(inc)]) == 0
+        with open(inc, newline="") as fh:
+            nodes, row = (np.array(r, dtype=np.float64) for r in csv.reader(fh))
+        np.testing.assert_array_equal(nodes, grid.nodes)
+        check_density_rows(grid, row[None, :])
+
+    @pytest.mark.parametrize("clean", [[], ["--clean"]], ids=["detect", "detect-clean"])
+    def test_zero_density_value_names_its_row(self, tmp_path, capsys, clean):
+        grid = Grid(64)
+        rows = np.vstack([zero_avoid(beta_density(grid, 5, 5)).values] * 6)
+        rows[2, 10] = 0.0
+        rows[2] /= rows[2] @ grid.weights
+        path = tmp_path / "zero.csv"
+        write_density_csv(path, grid, rows)
+        assert main(["detect", str(path), *clean, "--mc-samples", "50"]) == 2
+        assert capsys.readouterr().err == (
+            "error: density row 3: clr needs strictly positive values\n")
+
+    def test_schema_refuses_a_centering_nothing_writes(self, sim_csv, tmp_path):
+        res = tmp_path / "r.json"
+        main(["detect", str(sim_csv), "--mc-samples", "50", "--out", str(res)])
+        payload = json.loads(res.read_text())
+        validate(payload, "detection_result")
+        with pytest.raises(jsonschema.ValidationError):
+            validate({**payload, "centering": "segmented"}, "detection_result")
 
     def test_clean_flag_with_report(self, sim_csv, tmp_path):
         rep = tmp_path / "cleaning.json"
@@ -623,6 +660,20 @@ class TestCleanCommand:
                      "--cleaning-report", str(rep)]) == 2
         assert capsys.readouterr().err.count("whisker must be positive") == 2
         assert not (cleaned.exists() or rep.exists() or res.exists())
+
+    def test_infinite_whisker_exit_two_and_nothing_written(self, sim_csv, tmp_path, capsys):
+        cleaned, rep, res, prof = (tmp_path / n for n in ("c.csv", "rep.json", "r.json",
+                                                          "p.csv"))
+        assert main(["clean", str(sim_csv), "--whisker", "inf", "--out", str(cleaned),
+                     "--report", str(rep)]) == 2
+        assert main(["clean", str(sim_csv), "--whisker", "inf", "--out", str(cleaned)]) == 2
+        assert main(["detect", str(sim_csv), "--clean", "--whisker", "inf",
+                     "--mc-samples", "50", "--out", str(res), "--profile-csv", str(prof),
+                     "--cleaning-report", str(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("whisker must be finite for a cleaning report") == 3
+        assert not any(p.exists() for p in (cleaned, rep, res, prof))
 
     def test_bad_setting_exit_two_before_cleaning(self, tmp_path, capsys):
         # cleaning this file leaves 3 densities (exit 3); the setting is checked first

@@ -162,8 +162,9 @@ class TestClr:
         values = beta_pdf_values(grid, 3.0, 3.0)
         values[7] = 0.0
         f = DensityFunction(grid, values / integrate(values, grid))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="density row 1: ") as info:
             clr(f)
+        assert info.value.record == 1
 
     def test_zero_integral_invariant(self, grid):
         rng = np.random.default_rng(6)
@@ -190,10 +191,22 @@ class TestClrInv:
         target = target_values / integrate(target_values, grid1025)
         assert np.abs(clr_inv(u).values - target).max() < 1e-8
 
-    def test_overflow_raises(self, grid):
+    def test_values_beyond_exp_range_give_a_valid_density(self, grid):
         big = 1e4 * (grid.nodes - float(grid.weights @ grid.nodes))
-        with pytest.raises(NumericError):
-            clr_inv(ClrFunction(grid, big))
+        assert big.max() > 710  # np.exp overflows here
+        f = clr_inv(ClrFunction(grid, big))
+        assert np.all(np.isfinite(f.values)) and f.values.min() >= 0.0
+        assert integrate(f.values, grid) == pytest.approx(1.0, abs=1e-12)
+        assert int(np.argmax(f.values)) == grid.node_count - 1
+
+    def test_below_700_is_plain_exp_renormalized(self, grid):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            v = rng.standard_normal(grid.node_count)
+            u = v - float(grid.weights @ v)
+            u *= rng.uniform(0.1, 699.0) / np.abs(u).max()
+            got = clr_inv(ClrFunction(grid, u)).values
+            assert got.tobytes() == normalize_rows(grid, np.exp(u)).tobytes()
 
 
 def _inner_product_double_integral(f, g):

@@ -356,10 +356,10 @@ class TestPairedArms:
     def test_failing_arm_recorded_and_other_arm_draws_alone(self, monkeypatch, failing):
         stage = simlab._detect_statistic
 
-        def fail_one(seq, theta, method):
+        def fail_one(seq, theta, method, *rest):
             if method == failing:
                 raise DegenerateInputError("forced")
-            return stage(seq, theta, method)
+            return stage(seq, theta, method, *rest)
 
         monkeypatch.setattr(simlab, "_detect_statistic", fail_one)
         config = ExperimentConfig(replicates=1, **self.CFG)
@@ -376,14 +376,14 @@ class TestPairedArms:
     def test_arm_failing_after_the_draw_leaves_the_shared_draw(self, monkeypatch, failing):
         config = ExperimentConfig(replicates=1, **self.CFG)
         shared = {rec.method: rec for rec in run_experiment(config).records}
-        stage = simlab._detect_result
+        stage = simlab._with_p_value
 
-        def fail_one(stat, *args):
-            if stat.method == failing:
+        def fail_one(result, samples):
+            if result.method == failing:
                 raise DegenerateInputError("forced")
-            return stage(stat, *args)
+            return stage(result, samples)
 
-        monkeypatch.setattr(simlab, "_detect_result", fail_one)
+        monkeypatch.setattr(simlab, "_with_p_value", fail_one)
         report = run_experiment(config)
         error, ok = report.records
         if failing == "l2-raw":
