@@ -24,6 +24,11 @@ DEFAULT_WHISKER = 1.5
 OUTLIER_DETECTOR = "clr-median-distance"
 
 
+def _check_whisker(whisker: float) -> None:
+    if not whisker > 0:
+        raise StructuralError(f"whisker must be positive, got {whisker}")
+
+
 def tukey_fences(samples, whisker: float) -> tuple[float, float]:
     """The fences ``(Q1 - w*IQR, Q3 + w*IQR)`` of ``samples``.
 
@@ -32,23 +37,24 @@ def tukey_fences(samples, whisker: float) -> tuple[float, float]:
     :class:`StructuralError`.  A zero IQR gives ``(Q1, Q3)`` at any
     whisker, so an infinite whisker means no fence only when IQR > 0.
     """
-    if not whisker > 0:
-        raise StructuralError(f"whisker must be positive, got {whisker}")
+    _check_whisker(whisker)
     q1, q3 = np.percentile(samples, [25, 75])
     reach = whisker * (q3 - q1) if q3 > q1 else 0.0  # w * 0 = 0, also for w = inf
     return q1 - reach, q3 + reach
 
 
 def boxplot_keep_mask(samples: np.ndarray, whisker: float = DEFAULT_WHISKER) -> np.ndarray:
-    """Boolean mask of the non-empty ``samples`` inside their :func:`tukey_fences`.
+    """Boolean mask of the ``samples`` inside their :func:`tukey_fences`.
 
-    Fewer than 4 samples: everything kept, with a warning.
+    Fewer than 4 samples, none included: everything kept, with a warning.
+    The whisker is checked at every sample count.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    lo, hi = tukey_fences(samples, whisker)
     if samples.size < 4:
+        _check_whisker(whisker)
         warnings.warn("fewer than 4 samples; boxplot filter is a pass-through")
         return np.ones(samples.shape, dtype=bool)
+    lo, hi = tukey_fences(samples, whisker)
     return (samples >= lo) & (samples <= hi)
 
 

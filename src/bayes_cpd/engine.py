@@ -279,10 +279,10 @@ def _simulate_limit_samples(
     bounded memory.
 
     Each sample keeps the node j of its largest S_j = sum_l u_l B_l(t_j)^2,
-    with u = lambda / max(lambda), and the chunk reduces the squared
-    bridges there to the local sum sum_l u_l^2 B_l(t_j)^2, so a chunk holds
-    L bridge values per sample and the call two values per sample.  The
-    local sums run over l in order, so zero padding leaves them exact.
+    with u = lambda / max(lambda), and its block reduces the squared
+    bridges there to the local sum sum_l u_l^2 B_l(t_j)^2, so the call
+    holds two values per sample.  The local sums run over l in order, so
+    zero padding leaves them exact.
     Once all chunks are in, the continuity correction runs once: the sample
     is max(lambda) (sqrt(S_j) + BRIDGE_SHIFT sigma_j sqrt(dt))^2 with
     sigma_j^2 = sum_l u_l^2 B_l(t_j)^2 / S_j, and 0 where S_j = 0.
@@ -305,7 +305,6 @@ def _simulate_limit_samples(
         walk = np.empty((block, l_max, steps))
         weighted = np.empty((block, steps))
         end = min(first + _MC_CHUNK, mc_samples)
-        at_top = [np.empty((end - first, u.size)) for u in units]
         for start in range(first, end, block):
             stop = min(start + block, end)
             w, s = walk[: stop - start], weighted[: stop - start]
@@ -315,16 +314,15 @@ def _simulate_limit_samples(
             np.cumsum(w, axis=2, out=w)
             w -= t * w[:, :, -1:]  # pin the walk into a bridge
             np.square(w, out=w)
-            for u, top, sq in zip(units, tops, at_top):
+            for u, top, sums in zip(units, tops, local_sums):
                 np.einsum("l,klj->kj", u, w[:, : u.size], out=s)
                 j = s.argmax(axis=1)
                 top[start:stop] = s[rows, j]
-                sq[start - first : stop - first] = w[rows, : u.size, j]
-        for u, sq, sums in zip(units, at_top, local_sums):
-            local = sums[first:end]
-            local[:] = u[0] * u[0] * sq[:, 0]
-            for l in range(1, u.size):
-                local += u[l] * u[l] * sq[:, l]
+                sq = w[rows, : u.size, j]
+                local = sums[start:stop]
+                local[:] = u[0] * u[0] * sq[:, 0]
+                for l in range(1, u.size):
+                    local += u[l] * u[l] * sq[:, l]
 
     parallel_map(run, range(0, mc_samples, _MC_CHUNK), threads)
     outs = []
@@ -391,9 +389,7 @@ def _detect_statistic(
     spectrum, as the result that holds before any draw (p = 1, no
     rejection), which is final when nothing is retained.
 
-    Nothing here draws; ``seed`` is only recorded.  Retained eigenvalues
-    are checked as :func:`simulate_limit_samples` checks them, so a bad
-    spectrum fails here, before any draw.
+    Nothing here draws; ``seed`` is only recorded.
     """
     mat = _method_matrix(seq, method)
     weights = seq.grid.weights
@@ -402,8 +398,6 @@ def _detect_statistic(
     if not profile.degenerate:
         eigen = _covariance_eigen_from_matrix(_residual_matrix(mat), weights, theta)
         eigenvalues = tuple(float(v) for v in eigen.retained())
-        if eigenvalues:
-            _checked_eigenvalues(eigenvalues)
     return DetectionResult(
         k_hat=profile.argmax_k,
         statistic=profile.statistic,

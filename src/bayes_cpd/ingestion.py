@@ -85,11 +85,15 @@ class SupportEstimate:
             )
 
 
+def _check_margin_fraction(margin_fraction: float) -> None:
+    if not (math.isfinite(margin_fraction) and margin_fraction >= 0):
+        raise StructuralError(f"margin_fraction must be finite and >= 0, got {margin_fraction}")
+
+
 def estimate_support(values, margin_fraction: float = DEFAULT_MARGIN_FRACTION) -> SupportEstimate:
     """Min/max support widened by ``margin_fraction`` of the range each side."""
     values = np.asarray(values, dtype=np.float64)
-    if not (math.isfinite(margin_fraction) and margin_fraction >= 0):
-        raise StructuralError(f"margin_fraction must be finite and >= 0, got {margin_fraction}")
+    _check_margin_fraction(margin_fraction)
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         raise DegenerateInputError("all values equal; support is degenerate")
@@ -231,7 +235,7 @@ def kde(values, grid: Grid, bandwidth: float | None = None) -> DensityFunction:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise StructuralError("KDE needs at least one sample")
-    if np.any((values < 0.0) | (values > 1.0)):
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
         raise StructuralError("KDE samples must lie in [0, 1]")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(values)
@@ -308,6 +312,7 @@ def build_sequence(
 
     values = series.values
     keep = boxplot_keep_mask(values, config.whisker)
+    _check_margin_fraction(config.margin_fraction)  # also when a given support leaves it unused
     # The estimated support depends on the extremes of the kept values only.
     support = config.support or estimate_support(
         [values.min(where=keep, initial=np.inf), values.max(where=keep, initial=-np.inf)],

@@ -320,10 +320,10 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
     cleaned subsequence when ``clean`` is set, the raw-L2 arm on the
     uncleaned sequence.  The arms that retained eigenvalues then share one
     draw of bridges, so the arm with the larger L gets the samples of a
-    standalone detection; a lone arm always does.  An arm that raises a
-    :class:`BayesCpdError` gets an error record, prefixed with its method
-    when both arms run; failing before the draw, it leaves the other arm
-    to draw alone.
+    standalone detection; a lone arm always does.  An arm can fail only
+    before the draw: one that raises a :class:`BayesCpdError` gets an error
+    record, prefixed with its method when both arms run, and leaves the
+    other arm to draw alone.
     """
     rep_seed = derive_seed(config.seed, r)
     mc_seed = derive_seed(rep_seed, 1)
@@ -349,16 +349,13 @@ def _run_replicate(config: ExperimentConfig, r: int, grid: Grid) -> list[Replica
                  if eigens else ())
     records = []
     for method, report, stat in staged:
-        try:
-            if isinstance(stat, BayesCpdError):
-                raise stat
-            result = _with_p_value(stat, next(draws)) if stat.L else stat
-        except BayesCpdError as exc:  # recorded, not fatal
+        if isinstance(stat, BayesCpdError):  # recorded, not fatal
             prefix = f"{method}: " if config.compare_l2 else ""
             records.append(ReplicateRecord(replicate=r, method="error",
                                            contaminated_indices=truth,
-                                           error=f"{prefix}{type(exc).__name__}: {exc}"))
+                                           error=f"{prefix}{type(stat).__name__}: {stat}"))
             continue
+        result = _with_p_value(stat, next(draws)) if stat.L else stat
         k_hat = result.k_hat if report is None else report.map_position(result.k_hat)
         records.append(ReplicateRecord(
             replicate=r,

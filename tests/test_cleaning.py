@@ -65,6 +65,17 @@ class TestScalarBoxplotFilter:
         with pytest.raises(StructuralError):
             boxplot_keep_mask(np.arange(6.0), whisker=0.0)
 
+    def test_empty_samples_pass_through_with_warning(self):
+        with pytest.warns(UserWarning, match="fewer than 4 samples"):
+            mask = boxplot_keep_mask(np.array([]))
+        assert mask.shape == (0,) and mask.dtype == bool
+
+    @pytest.mark.parametrize("size", [0, 2, 6])
+    @pytest.mark.parametrize("whisker", [0.0, -1.0, np.nan])
+    def test_bad_whisker_refused_at_every_sample_count(self, size, whisker):
+        with pytest.raises(StructuralError, match="whisker must be positive"):
+            boxplot_keep_mask(np.arange(float(size)), whisker)
+
     @pytest.mark.parametrize("whisker", [1.5, 1e300, np.inf])
     def test_zero_iqr_fences_are_the_quartiles_at_any_whisker(self, whisker):
         samples = [2.0] * 8 + [1.0, 3.0]

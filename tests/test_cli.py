@@ -393,12 +393,14 @@ class TestIngestCommand:
         ("--support", "1:inf", "support"),
         ("--margin", "nan", "margin"),
         ("--margin", "inf", "margin"),
+        ("--support 0:5 --margin", "nan", "margin"),  # checked though the support is given
+        ("--support 0:5 --margin", "-3", "margin"),
     ])
     def test_nan_or_out_of_range_setting_exit_two(self, tmp_path, capsys, flag, value, named):
         raw = _write_series(tmp_path)
         out = tmp_path / "x.csv"
         assert main(["ingest", str(raw), "--timestamp-format", "epoch",
-                     flag, value, "--out", str(out)]) == 2
+                     *flag.split(), value, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
 

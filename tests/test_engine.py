@@ -260,6 +260,27 @@ class TestCovarianceEigen:
         np.testing.assert_allclose(eig.retained(), ref[:ref_truncation],
                                    rtol=0.0, atol=1e-12 * ref[0])
 
+    @pytest.mark.parametrize("method", ["bayes-clr", "l2-raw"])
+    @pytest.mark.parametrize("node_count", [16, 4097])
+    def test_valid_sequence_at_the_validator_extremes_has_a_finite_positive_spectrum(
+            self, node_count, method):
+        # A replicate's arm cannot fail after the draw because a valid
+        # sequence, even at the validator's extremes (rows of 5e-324 with
+        # one spike carrying the unit mass, near 2(m - 1) at an endpoint),
+        # gives a finite statistic and finite, positive retained
+        # eigenvalues, also at theta = 1.
+        grid = Grid(node_count)
+        m = node_count
+        spikes = [0, m - 1, 1, m // 2, m - 2, m // 3, 0, 0, m - 1, 2] * 2  # n = 20
+        rows = np.full((len(spikes), m), 5e-324)
+        rows[np.arange(len(spikes)), spikes] = 1.0 / grid.weights[spikes]
+        assert rows[0, 0] == pytest.approx(2 * (m - 1))
+        seq = DistributionalSequence(grid, rows)
+        result = engine._detect_statistic(seq, 1.0, method, 0.05, 200, 0)
+        lambdas = np.array(result.eigenvalues)
+        assert np.isfinite(result.statistic) and result.statistic > 0
+        assert result.L > 0 and np.all(np.isfinite(lambdas)) and np.all(lambdas > 0)
+
 
 def kolmogorov_quantile(p):
     """Invert P(sup|B| <= x) = 1 - 2 sum (-1)^(k-1) exp(-2 k^2 x^2)."""

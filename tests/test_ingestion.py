@@ -217,6 +217,12 @@ class TestKde:
         with pytest.raises(StructuralError):
             kde(np.array([0.2, 1.4]), grid)
 
+    def test_nan_sample_rejected_before_binning(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning from the binning
+            with pytest.raises(StructuralError, match=r"KDE samples must lie in \[0, 1\]"):
+                kde(np.array([0.2, np.nan]), grid, 0.1)
+
     @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), -float("inf"),
                                            0.0, -0.1, 1e-5, MIN_BANDWIDTH / 2])
     def test_non_finite_or_sub_floor_bandwidth_rejected(self, grid, bandwidth):
