@@ -13,8 +13,13 @@ Writes one JSON file of ten arms:
   Kolmogorov 0.95 point, and of L = 3 samples at or above a committed
   fine-grid 0.95 point; the target of both is 0.05.
 
-Every arm but the two limit-law arms is a ``run_experiment`` call.  Per
-arm and method it records the rejection rate with its binomial standard
+Each arm is one line of the ordered table ``ARMS``: its replicates (or
+limit samples) at full and at smoke size, and its spec, either the
+``run_experiment`` settings or the limit-law eigenvalues, 0.95 point and
+the samples behind that point.  An arm's seed is derived from its position
+in the table, so a new arm goes last and the arms before it keep their
+draws.  Every arm but the two limit-law arms is a ``run_experiment`` call.
+Per arm and method it records the rejection rate with its binomial standard
 error, the quartiles of |k_hat - k*| (null on a no-change arm), the
 histogram of the retained eigenvalue count L, and the normals the Monte
 Carlo drew.
@@ -64,32 +69,6 @@ LIMIT_Z = 3.0
 LIMIT_L3_POINT = 1.2384930490257646
 LIMIT_L3_POINT_SAMPLES = 400_000
 
-EXPERIMENT_ARMS = (
-    ("null_n40", dict(generator="model1", n=40, k_star=40, compare_l2=False)),
-    ("null_n100", dict(generator="model1", n=100, k_star=100, compare_l2=False)),
-    ("null_n300", dict(generator="model1", n=300, k_star=300, compare_l2=False)),
-    ("sim1", dict(generator="sim1", n=100, k_star=50)),
-    ("model1_clean", dict(generator="model1", n=100, k_star=50, contamination_count=20,
-                          clean=True)),
-    ("model2_clean", dict(generator="model2", n=100, k_star=50, contamination_count=20,
-                          clean=True)),
-    ("model3_clean", dict(generator="model3", n=100, k_star=50, contamination_count=20,
-                          clean=True)),
-    ("weak_break", dict(generator="model3", n=40, k_star=6, contamination_count=8,
-                        clean=True)),
-)
-#: Replicates (or limit samples) per arm at full and smoke size.  An arm's
-#: seed is derived from its position here, so a new arm goes last.
-SIZES = {
-    "full": {"null_n100": 4000, "null_n300": 4000, "sim1": 100, "model1_clean": 100,
-             "model2_clean": 100, "model3_clean": 100, "weak_break": 200,
-             "limit_law": 40_000, "null_n40": 4000, "limit_law_l3": 40_000},
-    "smoke": {"null_n100": 40, "null_n300": 20, "sim1": 10, "model1_clean": 10,
-              "model2_clean": 10, "model3_clean": 10, "weak_break": 20,
-              "limit_law": 4_000, "null_n40": 40, "limit_law_l3": 4_000},
-}
-ARM_NAMES = tuple(SIZES["full"])
-
 
 def kolmogorov_quantile(p: float) -> float:
     """The p-quantile of sup |B| for a Brownian bridge B, by bisection."""
@@ -105,30 +84,26 @@ def kolmogorov_quantile(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-#: Per limit-law arm: its eigenvalues, its 0.95 point, and the samples that
-#: point was estimated from (None for a closed form).
-LIMIT_ARMS = {
-    "limit_law": ((1.0,), kolmogorov_quantile(0.95) ** 2, None),
-    "limit_law_l3": ((0.6, 0.3, 0.1), LIMIT_L3_POINT, LIMIT_L3_POINT_SAMPLES),
+#: name -> (full size, smoke size, spec), in seed order.  A limit-law spec is
+#: (eigenvalues, 0.95 point, samples behind the point or None for a closed form).
+ARMS = {
+    "null_n100": (4000, 40, dict(generator="model1", n=100, k_star=100, compare_l2=False)),
+    "null_n300": (4000, 20, dict(generator="model1", n=300, k_star=300, compare_l2=False)),
+    "sim1": (100, 10, dict(generator="sim1", n=100, k_star=50)),
+    "model1_clean": (100, 10, dict(generator="model1", n=100, k_star=50,
+                                   contamination_count=20, clean=True)),
+    "model2_clean": (100, 10, dict(generator="model2", n=100, k_star=50,
+                                   contamination_count=20, clean=True)),
+    "model3_clean": (100, 10, dict(generator="model3", n=100, k_star=50,
+                                   contamination_count=20, clean=True)),
+    "weak_break": (200, 20, dict(generator="model3", n=40, k_star=6, contamination_count=8,
+                                 clean=True)),
+    "limit_law": (40_000, 4_000, ((1.0,), kolmogorov_quantile(0.95) ** 2, None)),
+    "null_n40": (4000, 40, dict(generator="model1", n=40, k_star=40, compare_l2=False)),
+    "limit_law_l3": (40_000, 4_000,
+                     ((0.6, 0.3, 0.1), LIMIT_L3_POINT, LIMIT_L3_POINT_SAMPLES)),
 }
-
-
-def method_entry(rejected: list[bool], abs_errors: list[int] | None, ells: list,
-                 errored: int) -> dict:
-    count = len(rejected)
-    rate = float(np.mean(rejected)) if count else None
-    quartiles = None
-    if abs_errors:
-        quartiles = [float(q) for q in np.percentile(abs_errors, [25, 50, 75])]
-    return {
-        "count": count,
-        "errored": errored,
-        "rejections": int(sum(rejected)),
-        "rate": rate,
-        "se": math.sqrt(rate * (1.0 - rate) / count) if count else None,
-        "abs_error_quartiles": quartiles,
-        "L_histogram": {str(k): v for k, v in sorted(Counter(ells).items(), key=str)},
-    }
+LIMIT_ARMS = {name: spec for name, (_, _, spec) in ARMS.items() if isinstance(spec, tuple)}
 
 
 def experiment_arm(overrides: dict, reps: int, seed: int, threads: int) -> dict:
@@ -137,14 +112,25 @@ def experiment_arm(overrides: dict, reps: int, seed: int, threads: int) -> dict:
     report = run_experiment(config, threads)
     methods, shared = {}, [0] * reps
     for method in (METHOD_BAYES, METHOD_L2) if config.compare_l2 else (METHOD_BAYES,):
-        records = {rec.replicate: rec for rec in report.records_for(method)}
-        ells = [records[r].L if r in records else "error" for r in range(reps)]
-        for r, rec in records.items():
-            shared[r] = max(shared[r], rec.L)
-        rows = [records[r] for r in sorted(records)]
-        abs_errors = None if config.k_star == config.n else [rec.abs_error for rec in rows]
-        methods[method] = method_entry([rec.rejected for rec in rows], abs_errors, ells,
-                                       reps - len(rows))
+        rows = report.records_for(method)
+        for rec in rows:
+            shared[rec.replicate] = max(shared[rec.replicate], rec.L)
+        count, errored = len(rows), reps - len(rows)
+        rate = float(np.mean([rec.rejected for rec in rows])) if count else None
+        quartiles = None
+        if rows and config.k_star != config.n:
+            quartiles = [float(q) for q in
+                         np.percentile([rec.abs_error for rec in rows], [25, 50, 75])]
+        ells = Counter([rec.L for rec in rows] + ["error"] * errored)
+        methods[method] = {
+            "count": count,
+            "errored": errored,
+            "rejections": sum(rec.rejected for rec in rows),
+            "rate": rate,
+            "se": math.sqrt(rate * (1.0 - rate) / count) if count else None,
+            "abs_error_quartiles": quartiles,
+            "L_histogram": {str(k): v for k, v in sorted(ells.items(), key=str)},
+        }
     normals = sum(config.mc_samples * ell * (config.bridge_nodes - 1) for ell in shared)
     return {"replicates": reps, "normals_drawn": normals, "methods": methods}
 
@@ -166,16 +152,14 @@ def limit_arm(eigen: tuple, point: float, point_samples: int | None, samples: in
 
 
 def run_study(size: str, seed: int, threads: int) -> dict:
-    sizes = SIZES[size]
     arms = {}
-    for index, name in enumerate(ARM_NAMES):
-        arm_seed = derive_seed(seed, index)
+    for index, (name, (full, smoke, spec)) in enumerate(ARMS.items()):
+        count, arm_seed = (smoke if size == "smoke" else full), derive_seed(seed, index)
         start = time.perf_counter()
         if name in LIMIT_ARMS:
-            arms[name] = limit_arm(*LIMIT_ARMS[name], sizes[name], arm_seed, threads)
+            arms[name] = limit_arm(*spec, count, arm_seed, threads)
         else:
-            arms[name] = experiment_arm(dict(EXPERIMENT_ARMS)[name], sizes[name], arm_seed,
-                                        threads)
+            arms[name] = experiment_arm(spec, count, arm_seed, threads)
         print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return {"size": size, "seed": seed, "bridge_nodes": DEFAULT_BRIDGE_NODES,
             "mc_samples": DEFAULT_MC_SAMPLES, "grid_nodes": ExperimentConfig.grid_nodes,
@@ -191,7 +175,7 @@ def compare(old: dict, new: dict) -> list[str]:
     problems = []
     print(f"{'arm':14s} {'method':10s} {'old rate (SE)':>15s} {'new rate (SE)':>15s} "
           f"{'z':>6s}  |k_hat - k*| quartiles old -> new")
-    for name in ARM_NAMES:
+    for name in ARMS:
         if name not in new["arms"]:
             problems.append(f"{name}: arm missing")
             continue

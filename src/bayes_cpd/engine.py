@@ -243,8 +243,10 @@ def _covariance_eigen_from_matrix(
 
 
 def _checked_eigenvalues(eigen: Sequence[float]) -> np.ndarray:
-    """``eigen`` as a float64 array; raises unless nonempty, finite and non-negative."""
+    """``eigen`` as a float64 array; raises unless 1-D, nonempty, finite and non-negative."""
     lambdas = np.asarray(eigen, dtype=np.float64)
+    if lambdas.ndim != 1:
+        raise StructuralError(f"eigenvalues must be a 1-D vector, got shape {lambdas.shape}")
     if lambdas.size == 0:
         raise DegenerateInputError("no eigenvalues retained; nothing to simulate")
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):

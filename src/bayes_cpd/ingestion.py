@@ -66,9 +66,10 @@ class RawSeries:
 class SupportEstimate:
     """Common support ``[lower, upper]`` of the feature values.
 
-    Finite bounds with ``lower < upper`` are a precondition
-    (:class:`StructuralError`, a usage error); support estimated from data
-    that cannot give one is rejected earlier, by :func:`estimate_support`.
+    Finite bounds with ``lower < upper`` and a finite width are a
+    precondition (:class:`StructuralError`, a usage error); support
+    estimated from data that cannot give one is rejected earlier, by
+    :func:`estimate_support`.
     """
 
     lower: float
@@ -82,6 +83,10 @@ class SupportEstimate:
         if not self.lower < self.upper:
             raise StructuralError(
                 f"support must satisfy lower < upper, got [{self.lower}, {self.upper}]"
+            )
+        if not math.isfinite(self.upper - self.lower):
+            raise StructuralError(
+                f"support width must be finite, got [{self.lower}, {self.upper}]"
             )
 
 
@@ -260,10 +265,10 @@ def kde(values, grid: Grid, bandwidth: float | None = None) -> DensityFunction:
     mirrored[2 * bins - 2:] += counts[::-1]
     # The kernel spans at least one grid spacing (r bins), so every sample
     # reaches a node even when the bandwidth is far below the spacing;
-    # offsets beyond 2(B - 1) bins cannot reach [0, 1] from [-1, 2].
+    # offsets beyond 2(B - 1) bins cannot reach [0, 1] from [-1, 2], and
+    # capping before the ceiling keeps a huge bandwidth's reach finite.
     bin_width = 1.0 / (bins - 1)
-    reach = min(max(math.ceil(KDE_KERNEL_RADIUS * bandwidth / bin_width), r),
-                2 * (bins - 1))
+    reach = max(math.ceil(min(KDE_KERNEL_RADIUS * bandwidth / bin_width, 2 * (bins - 1))), r)
     offsets = np.arange(-reach, reach + 1) * (bin_width / bandwidth)
     kernel = np.exp(-0.5 * offsets * offsets)
     smoothed = np.convolve(mirrored, kernel)

@@ -44,8 +44,6 @@ from .engine import (
 from .errors import BayesCpdError, StructuralError
 from .seeds import derive_seed, parallel_map
 
-GENERATORS = ("sim1", "model1", "model2", "model3")
-
 #: Fixed first moment shared by every density drawn from model2.
 MODEL2_MEAN = 0.45
 
@@ -187,6 +185,7 @@ _GENERATOR_FNS: dict[str, Callable[..., DistributionalSequence]] = {
     "model2": gen_model2,
     "model3": gen_model3,
 }
+GENERATORS = tuple(_GENERATOR_FNS)
 
 
 def replicate_sequence(

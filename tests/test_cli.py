@@ -383,16 +383,26 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert "lower < upper" in err and "line 2" not in err
 
+    def test_overflowing_support_width_exit_two_before_input_is_read(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,value\n0,not-a-number\n")
+        assert main(["ingest", str(raw), "--timestamp-format", "epoch",
+                     "--support=-1.7e308:1.7e308", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "support width must be finite" in err and "line 2" not in err
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--whisker", "nan", "whisker"),
         ("--bandwidth", "nan", "bandwidth"),
         ("--bandwidth", "inf", "bandwidth"),
         ("--bandwidth", "1e-5", "bandwidth"),
+        ("--bandwidth", "1e305", "normalizing"),  # the kernel reach would overflow
         ("--window-seconds", "nan", "window"),
         ("--window-seconds", "1e-300", "window"),
         ("--support", "1:inf", "support"),
         ("--margin", "nan", "margin"),
         ("--margin", "inf", "margin"),
+        ("--margin", "1e308", "support width"),  # the series spans more than 0.9
         ("--support 0:5 --margin", "nan", "margin"),  # checked though the support is given
         ("--support 0:5 --margin", "-3", "margin"),
     ])

@@ -442,7 +442,8 @@ class TestSharedDraw:
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("bad, error", [([], DegenerateInputError),
                                             ([0.5, -1.0], NumericError),
-                                            ([np.nan], NumericError)])
+                                            ([np.nan], NumericError),
+                                            ([[1.0, 0.5]], StructuralError)])
     def test_bad_vector_in_any_position_rejected(self, position, bad, error):
         eigens = [[1.0, 0.5], [0.3], [0.2, 0.1]]
         eigens[position] = bad

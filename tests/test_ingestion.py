@@ -26,7 +26,7 @@ from bayes_cpd.ingestion import (
     count_outside_support,
     kde_bin_count,
 )
-from bayes_cpd.errors import DegenerateInputError, StructuralError
+from bayes_cpd.errors import DegenerateInputError, NumericError, StructuralError
 from bayes_cpd.seeds import derive_seed
 from helpers import exact_reflected_kde, reference_build_sequence
 
@@ -152,6 +152,10 @@ class TestSupport:
         with pytest.raises(StructuralError, match="support bounds must be finite"):
             SupportEstimate(lower, upper)
 
+    def test_overflowing_width_rejected(self):
+        with pytest.raises(StructuralError, match="support width must be finite"):
+            SupportEstimate(-1.7e308, 1.7e308)
+
     def test_positive_margin_keeps_data_interior(self):
         rng = np.random.default_rng(8)
         values = rng.normal(size=500)
@@ -228,6 +232,11 @@ class TestKde:
     def test_non_finite_or_sub_floor_bandwidth_rejected(self, grid, bandwidth):
         with pytest.raises(StructuralError, match="bandwidth"):
             kde(np.array([0.2, 0.4, 0.6]), grid, bandwidth)
+
+    def test_huge_bandwidth_underflows_instead_of_overflowing_the_reach(self, grid):
+        # 9 bandwidths span inf bins at 1e305; the reach is capped first
+        with pytest.raises(NumericError, match="normalizing integral underflow"):
+            kde(np.array([0.2, 0.4, 0.6]), grid, 1e305)
 
     @pytest.mark.parametrize("nodes", [16, 64, 512, 2048, 8193])
     def test_lattice_size_bounded_at_min_bandwidth(self, nodes):

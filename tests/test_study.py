@@ -1,6 +1,7 @@
 """The statistical-record script ``scripts/study.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from bayes_cpd import simlab
 from bayes_cpd.errors import DegenerateInputError
 
-_SPEC = importlib.util.spec_from_file_location(
-    "study", Path(__file__).resolve().parent.parent / "scripts" / "study.py")
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("study", ROOT / "scripts" / "study.py")
 study = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(study)
 
@@ -58,8 +59,8 @@ def _stats(names, share=0.05):
 
 
 def test_arm_only_in_new_is_shown_and_not_judged(capsys):
-    old = _stats([name for name in study.ARM_NAMES if name != "null_n40"])
-    new = _stats(study.ARM_NAMES)
+    old = _stats([name for name in study.ARMS if name != "null_n40"])
+    new = _stats(study.ARMS)
     assert study.compare(old, new) == []
     (row,) = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("null_n40")]
@@ -67,18 +68,18 @@ def test_arm_only_in_new_is_shown_and_not_judged(capsys):
 
 
 def test_arm_missing_from_new_fails():
-    old = _stats(study.ARM_NAMES)
-    new = _stats([name for name in study.ARM_NAMES if name != "null_n40"])
+    old = _stats(study.ARMS)
+    new = _stats([name for name in study.ARMS if name != "null_n40"])
     assert study.compare(old, new) == ["null_n40: arm missing"]
 
 
 def test_limit_arm_only_in_new_is_judged(capsys):
-    old = _stats([name for name in study.ARM_NAMES if name != "limit_law_l3"])
-    assert study.compare(old, _stats(study.ARM_NAMES)) == []
+    old = _stats([name for name in study.ARMS if name != "limit_law_l3"])
+    assert study.compare(old, _stats(study.ARMS)) == []
     (row,) = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("limit_law_l3")]
     assert row.split()[1:5] == ["L", "=", "3", "new"]
-    assert study.compare(old, _stats(study.ARM_NAMES, share=0.07)) == [
+    assert study.compare(old, _stats(study.ARMS, share=0.07)) == [
         f"{name}: share 0.0700 is 5.88 SE from 0.05" for name in study.LIMIT_ARMS]
 
 
@@ -87,3 +88,10 @@ def test_limit_arm_at_its_point_and_size():
     assert (arm["eigenvalues"], arm["samples"], arm["point"]) == ([0.6, 0.3, 0.1], 50, 1.2)
     assert arm["se"] == pytest.approx((0.05 * 0.95 * (1 / 50 + 1 / 400)) ** 0.5)
     assert arm["normals_drawn"] == 50 * 3 * (study.DEFAULT_BRIDGE_NODES - 1)
+
+
+def test_committed_arms_are_a_prefix_of_the_table():
+    # an arm's seed is its position in ARMS: moving one re-seeds every arm after it
+    latest = max(ROOT.glob("STATS_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    committed = list(json.loads(latest.read_text(encoding="utf-8"))["arms"])
+    assert committed == list(study.ARMS)[:len(committed)]
